@@ -33,12 +33,9 @@
 // restores the index from the file at boot (falling back to a fresh
 // build from the input flags when the file is absent or written by an
 // incompatible format version), saves it on SIGTERM/SIGINT and on POST
-// /snapshot/save, and with -snapshot-interval also on a timer. With
-// -delta-interval the timer writes delta snapshots instead: only the
-// ops applied since the last save are appended to the file, so the
-// persistence cost tracks the write rate, not the index size. Once the
-// accumulated delta tail exceeds -compact-ops operations the next
-// timed save compacts back to a full snapshot. With -read-only the
+// /snapshot/save, and with -snapshot-interval also on a timer. Every
+// save writes the full image; ops applied between saves reach disk only
+// through the op log of -oplog-dir (below). With -read-only the
 // index rejects upserts (HTTP 403) — the replica serving mode: point
 // several read-only processes at one snapshot file. A replica only
 // ever reads that file: automatic saves are disabled and
@@ -80,8 +77,8 @@
 // included — the next boot restores the newest snapshot, replays the
 // log tail past it, truncates a torn or bit-flipped tail at the last
 // good frame, and repopulates the in-memory delta window, so followers
-// catch up over /deltas without a re-bootstrap. Full snapshots prune
-// segments the snapshot already covers.
+// catch up over /deltas without a re-bootstrap. Every snapshot save
+// prunes the segments the snapshot already covers.
 //
 //	sparker-serve -generate -snapshot idx.snap -oplog-dir ./oplog -oplog-fsync always
 //
@@ -155,12 +152,10 @@ func run() error {
 
 		snapshot         = flag.String("snapshot", "", "snapshot file: restore at boot, save on SIGTERM and POST /snapshot/save")
 		snapshotInterval = flag.Duration("snapshot-interval", 0, "also save a full snapshot periodically (0 disables)")
-		deltaInterval    = flag.Duration("delta-interval", 0, "append a delta snapshot (ops since the last save) periodically (0 disables)")
-		compactOps       = flag.Int("compact-ops", 10000, "compact to a full snapshot once the delta tail holds this many ops (0: never compact on the delta timer)")
 		readOnly         = flag.Bool("read-only", false, "replica mode: reject upserts (HTTP 403)")
 
 		follow      = flag.String("follow", "", "replicate from this leader URL: bootstrap via GET /snapshot, tail GET /deltas, serve read-only")
-		oplogRetain = flag.Int("oplog-retain", 0, "op frames retained in memory for /deltas and delta saves (0: default window)")
+		oplogRetain = flag.Int("oplog-retain", 0, "op frames retained in memory for /deltas (0: default window)")
 
 		oplogDir      = flag.String("oplog-dir", "", "durable op-log directory: append every op to rotating segment files before applying it, replay the tail at boot (crash-safe restart)")
 		oplogFsync    = flag.String("oplog-fsync", "interval", "op-log fsync policy: always (fsync per append), interval (background flush), never (OS page cache only)")
@@ -204,9 +199,8 @@ func run() error {
 	if *shardURLs != "" {
 		indexOnly := map[string]bool{
 			"a": true, "b": true, "dirty": true, "id": true, "generate": true,
-			"snapshot": true, "snapshot-interval": true, "delta-interval": true,
-			"compact-ops": true, "read-only": true, "follow": true,
-			"oplog-retain": true, "oplog-dir": true, "oplog-fsync": true,
+			"snapshot": true, "snapshot-interval": true, "read-only": true,
+			"follow": true, "oplog-retain": true, "oplog-dir": true, "oplog-fsync": true,
 			"oplog-segment-bytes": true, "index-shards": true, "scheme": true,
 			"prune": true, "k": true, "measure": true, "threshold": true,
 			"lsh": true, "lsh-signature": true, "lsh-threshold": true,
@@ -274,9 +268,9 @@ func run() error {
 
 	cfg := index.DefaultConfig()
 	cfg.Shards = *indexShards
-	// Every serving process keeps an op log: it is what /deltas serves
-	// and what delta saves append, and its memory is bounded by the
-	// retention window regardless of index size.
+	// Every serving process keeps an op log: it is what /deltas serves,
+	// and its memory is bounded by the retention window regardless of
+	// index size.
 	cfg.OpLog.Enabled = true
 	if *oplogRetain > 0 {
 		cfg.OpLog.MaxOps = *oplogRetain
@@ -454,57 +448,21 @@ func run() error {
 			"elapsed", time.Since(start).Round(time.Millisecond),
 			"reason", reason)
 	}
-	saveDelta := func(reason string) {
-		if *snapshot == "" || isReadOnly {
-			return
-		}
-		start := time.Now()
-		st, err := idx.SaveDelta(*snapshot)
-		if err != nil {
-			logger.Error("delta save failed", "reason", reason, "path", *snapshot, "err", err)
-			return
-		}
-		logger.Info("saved delta",
-			"path", st.Path,
-			"seq", st.Seq,
-			"delta_ops", st.DeltaOps,
-			"delta_bytes", st.DeltaBytes,
-			"elapsed", time.Since(start).Round(time.Millisecond),
-			"reason", reason)
-	}
-	// One goroutine owns both save timers so shutdown can stop it and
+	// One goroutine owns the save timer so shutdown can stop it and
 	// wait: the final save-on-SIGTERM never races an in-flight interval
 	// save, and the goroutine never outlives the graceful exit.
 	var saveLoop sync.WaitGroup
 	stopSaves := make(chan struct{})
-	if (*snapshotInterval > 0 || *deltaInterval > 0) && *snapshot != "" && !isReadOnly {
+	if *snapshotInterval > 0 && *snapshot != "" && !isReadOnly {
 		saveLoop.Add(1)
 		go func() {
 			defer saveLoop.Done()
-			var fullC, deltaC <-chan time.Time
-			if *snapshotInterval > 0 {
-				t := time.NewTicker(*snapshotInterval)
-				defer t.Stop()
-				fullC = t.C
-			}
-			if *deltaInterval > 0 {
-				t := time.NewTicker(*deltaInterval)
-				defer t.Stop()
-				deltaC = t.C
-			}
+			t := time.NewTicker(*snapshotInterval)
+			defer t.Stop()
 			for {
 				select {
-				case <-fullC:
+				case <-t.C:
 					save("interval")
-				case <-deltaC:
-					// Compaction: once the delta tail holds enough ops,
-					// pay for one full save and start a fresh tail —
-					// replay cost at restore stays bounded.
-					if st, ok := idx.PersistState(); ok && *compactOps > 0 && st.DeltaOps >= int64(*compactOps) {
-						save("compact")
-					} else {
-						saveDelta("interval")
-					}
 				case <-stopSaves:
 					return
 				}

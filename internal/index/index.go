@@ -104,9 +104,9 @@ type Config struct {
 	// lsh.go). The zero value disables it.
 	LSH LSHConfig
 	// OpLog enables the bounded in-memory op log (oplog.go): every
-	// upsert is framed and retained, enabling delta saves (SaveDelta)
-	// and HTTP replication to followers (OpsSince/ApplyOps). The zero
-	// value disables it and upserts cost nothing extra.
+	// upsert is framed and retained for HTTP replication to followers
+	// (OpsSince/ApplyOps). The zero value disables it and upserts cost
+	// nothing extra.
 	OpLog OpLogConfig
 	// DisableMetrics turns off the per-stage timing and histogram
 	// recording of the query/upsert hot paths (metrics.go): Metrics()
@@ -241,11 +241,11 @@ type Index struct {
 	upserts     atomic.Int64
 
 	// seq numbers applied writes 1, 2, 3, … — the replication clock: a
-	// v3 snapshot records it, op frames carry it, and followers track
-	// it. Advanced under writeMu; read lock-free (Seq, OpsSince).
+	// snapshot records it, op frames carry it, and followers track it.
+	// Advanced under writeMu; read lock-free (Seq, OpsSince).
 	seq atomic.Int64
-	// oplog retains recent op frames for delta saves and follower
-	// streaming (nil unless Config.OpLog.Enabled).
+	// oplog retains recent op frames for follower streaming (nil
+	// unless Config.OpLog.Enabled).
 	oplog *opLog
 	// wal is the durable half of the op log (wal.go): frames are
 	// appended to disk segments before the in-memory structures are

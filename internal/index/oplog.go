@@ -2,17 +2,12 @@ package index
 
 // The op log: every applied write is assigned a monotonically increasing
 // sequence number and, when the log is enabled, encoded as one
-// length-prefixed, CRC-framed record. The same frame bytes serve three
-// consumers:
-//
-//   - SaveDelta appends the frames since the last save to the snapshot
-//     file, so persistence cost is O(ops since last save) instead of
-//     O(index size) (persist.go);
-//   - GET /deltas streams them to network followers, which replay them
-//     with ApplyOps — the replication transport of the serving tier;
-//   - Decode replays frames it finds after a v3 snapshot's CRC trailer
-//     at restore time, dropping a torn or bit-flipped tail instead of
-//     failing the whole restore.
+// length-prefixed, CRC-framed record. The in-memory window feeds GET
+// /deltas, which streams the frames to network followers that replay
+// them with ApplyOps — the replication transport of the serving tier.
+// The same frame bytes are what the WAL (wal.go) appends to its segment
+// files, the only path by which an op becomes durable before the next
+// full snapshot.
 //
 // Frame wire/file format (identical everywhere):
 //
@@ -40,8 +35,7 @@ package index
 //
 // The in-memory log retains a bounded window (OpLogConfig.MaxOps /
 // MaxBytes). A follower that falls behind the window gets ErrOpLogGap
-// and must bootstrap a fresh snapshot; a delta save that would need
-// evicted ops falls back to a full (compacting) save.
+// and must bootstrap a fresh snapshot.
 
 import (
 	"bufio"
@@ -83,8 +77,7 @@ var (
 )
 
 // OpLogConfig enables and bounds the in-memory op log. The zero value
-// disables it: upserts then cost nothing extra, and SaveDelta degrades
-// to a full save.
+// disables it: upserts then cost nothing extra.
 type OpLogConfig struct {
 	// Enabled turns the op log on.
 	Enabled bool
@@ -192,45 +185,41 @@ func (l *opLog) stats() OpLogStats {
 // (since, …], bounded by maxBytes (at least one frame is returned when
 // any is pending). gap reports that ops after since existed but were
 // evicted — or that since runs ahead of the log — so the caller must
-// resynchronise. last is the sequence of the final returned frame.
-func (l *opLog) framesAfter(since int64, maxBytes int) (frames []byte, last int64, gap bool) {
+// resynchronise.
+func (l *opLog) framesAfter(since int64, maxBytes int) (frames []byte, gap bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if len(l.recs) == 0 {
 		// Nothing retained: with appended ops evicted, anything before
 		// the current head is unservable. The caller distinguishes
 		// "caught up" (since == current seq) before calling.
-		return nil, since, false
+		return nil, false
 	}
 	floor, head := l.recs[0].seq, l.recs[len(l.recs)-1].seq
 	if since >= head {
 		if since > head {
-			return nil, since, true // ahead of the log: stale leader state
+			return nil, true // ahead of the log: stale leader state
 		}
-		return nil, since, false
+		return nil, false
 	}
 	if since+1 < floor {
-		return nil, since, true // behind the retained window
+		return nil, true // behind the retained window
 	}
-	total := 0
-	last = since
 	for _, rec := range l.recs[since+1-floor:] {
-		if total > 0 && total+len(rec.frame) > maxBytes {
+		if len(frames) > 0 && len(frames)+len(rec.frame) > maxBytes {
 			break
 		}
 		frames = append(frames, rec.frame...)
-		total += len(rec.frame)
-		last = rec.seq
 	}
-	return frames, last, false
+	return frames, false
 }
 
 // OpLogEnabled reports whether the index maintains an op log (and can
-// therefore serve deltas and take delta saves).
+// therefore serve deltas).
 func (x *Index) OpLogEnabled() bool { return x.oplog != nil }
 
 // Seq returns the sequence number of the last applied write. It is 0 on
-// a fresh index and restored from v3 snapshots, so a restarted leader
+// a fresh index and restored from snapshots, so a restarted leader
 // keeps handing out sequence numbers its followers can track.
 func (x *Index) Seq() int64 { return x.seq.Load() }
 
@@ -267,7 +256,7 @@ func (x *Index) OpsSince(since int64, maxBytes int) (frames []byte, seq int64, e
 	if since > cur {
 		return nil, cur, fmt.Errorf("%w: since %d ahead of seq %d", ErrOpLogGap, since, cur)
 	}
-	frames, _, gap := x.oplog.framesAfter(since, maxBytes)
+	frames, gap := x.oplog.framesAfter(since, maxBytes)
 	if gap || frames == nil {
 		// Either explicitly behind the window, or the pending ops were
 		// all evicted (framesAfter saw an empty/advanced log).

@@ -11,11 +11,11 @@ import (
 // never an allocation proportional to a lying length header rather than
 // to the input actually supplied. Seeds cover valid snapshots of both
 // task types (with and without entropy keys), LSH-enabled snapshots,
-// genuine version-1/-2 files and a v3 file carrying a delta tail of op
-// frames, plus the mutation classes the decoder must reject (or, in the
-// tail, drop): truncation, bit flips, and version bumps. Every input is
-// decoded under a plain config and an LSH-enabled one: the v2 LSH
-// section must hold up whether its signatures are kept or discarded.
+// and clean, dirty and LSH images followed by op frames (what an older
+// build's delta save wrote), plus the mutation classes the decoder must
+// reject: truncation, bit flips, and version bumps. Every input is
+// decoded under a plain config and an LSH-enabled one: the LSH section
+// must hold up whether its signatures are kept or discarded.
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))
@@ -36,14 +36,14 @@ func FuzzLoadIndex(f *testing.F) {
 	// LSH seeds stay deliberately tiny (few profiles, short signatures):
 	// mutation throughput degrades with corpus entry size, and a 16-wide
 	// signature walks the same decode paths as a 128-wide one.
+	smallLSHCfg := DefaultConfig()
+	smallLSHCfg.LSH = LSHConfig{Policy: ProbeFallback, SignatureLen: 16}
 	smallLSH := func(clean bool) *Index {
 		sources := 1
 		if clean {
 			sources = 2
 		}
-		cfg := DefaultConfig()
-		cfg.LSH = LSHConfig{Policy: ProbeFallback, SignatureLen: 16}
-		x := New(clean, cfg)
+		x := New(clean, smallLSHCfg)
 		for _, p := range synthQueryProfiles(8, sources, 19) {
 			if _, _, err := x.Upsert(p); err != nil {
 				f.Fatal(err)
@@ -53,31 +53,27 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	withLSH := encodeToBytes(f, smallLSH(false))
 	cleanLSH := encodeToBytes(f, smallLSH(true))
-	v1 := encodeVersionToBytes(f, smallTestIndex(f, false), snapshotVersionV1)
-	v2 := encodeVersionToBytes(f, smallTestIndex(f, true), snapshotVersionV2)
 
-	// Delta seed: a base image with op frames appended (what SaveDelta
-	// writes), so mutations land in the lenient tail-replay path too —
-	// the decoder must drop a damaged tail, never panic or mis-apply.
-	deltaIdx := New(true, opLogConfig())
-	for _, p := range synthQueryProfiles(8, 2, 29) {
-		if _, _, err := deltaIdx.Upsert(p); err != nil {
-			f.Fatal(err)
+	// Rejection seeds: images with op frames appended after their
+	// trailer. Mutations around an image's end must still error, never
+	// panic or replay the frames.
+	lshOpLog := smallLSHCfg
+	lshOpLog.OpLog.Enabled = true
+	var tailed [][]byte
+	for _, tc := range []struct {
+		clean bool
+		cfg   Config
+	}{{true, opLogConfig()}, {false, opLogConfig()}, {false, lshOpLog}} {
+		image, tail := imageWithOpTail(f, tc.clean, tc.cfg)
+		seed := append(append([]byte(nil), image...), tail...)
+		if _, err := Decode(bytes.NewReader(seed), tc.cfg); err == nil {
+			f.Fatal("image plus op frames decoded; the tail must be rejected")
 		}
+		tailed = append(tailed, seed)
 	}
-	deltaBase := encodeToBytes(f, deltaIdx)
-	for _, p := range synthQueryProfiles(12, 2, 31)[8:] {
-		if _, _, err := deltaIdx.Upsert(p); err != nil {
-			f.Fatal(err)
-		}
-	}
-	tail, _, err := deltaIdx.OpsSince(8, 1<<20)
-	if err != nil {
-		f.Fatal(err)
-	}
-	delta := append(append([]byte(nil), deltaBase...), tail...)
 
-	for _, seed := range [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH, v1, v2, delta} {
+	seeds := [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH}
+	for _, seed := range append(seeds, tailed...) {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer

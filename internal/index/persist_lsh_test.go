@@ -4,21 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"time"
 )
-
-// encodeVersionToBytes encodes the index at an explicit format version.
-func encodeVersionToBytes(t testing.TB, x *Index, version uint64) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	x.writeMu.Lock()
-	_, err := x.encodeVersionLocked(&buf, time.Unix(0, 42), version)
-	x.writeMu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 // lshSnapshotIndex builds an LSH-enabled index with churn (replacements
 // and an empty-bag profile) so the snapshot exercises every sig shape.
@@ -49,7 +35,7 @@ func lshSnapshotIndex(t testing.TB, clean bool) *Index {
 // TestSnapshotRoundTripLSH pins that a save/load cycle of an LSH-enabled
 // index preserves query results bitwise under every probe policy, and
 // that re-encoding the restored index reproduces the original bytes
-// (apart from the timestamp, which the explicit-version encoder pins).
+// (apart from the timestamp, which encodePinned pins).
 func TestSnapshotRoundTripLSH(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		sources := 1
@@ -61,7 +47,7 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 		probes := synthQueryProfiles(40, sources, 17)
 		x.Query(&probes[0])
 
-		data := encodeVersionToBytes(t, x, snapshotVersion)
+		data := encodePinned(t, x)
 		y, err := Decode(bytes.NewReader(data), lshTestConfig(ProbeFallback))
 		if err != nil {
 			t.Fatalf("clean=%v: decode: %v", clean, err)
@@ -91,7 +77,7 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 			}
 		}
 
-		redata := encodeVersionToBytes(t, y, snapshotVersion)
+		redata := encodePinned(t, y)
 		// The probe counters moved while comparing queries above; rebuild
 		// the expectation from a second decode instead of a byte compare
 		// of live indexes.
@@ -107,46 +93,45 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 }
 
 // TestSnapshotBytesDeterministicLSH pins byte-level determinism of the
-// v2 encoding: decode then re-encode with a pinned timestamp reproduces
+// LSH section's encoding: decode then re-encode with a pinned timestamp reproduces
 // the input exactly.
 func TestSnapshotBytesDeterministicLSH(t *testing.T) {
 	x := lshSnapshotIndex(t, false)
-	data := encodeVersionToBytes(t, x, snapshotVersion)
+	data := encodePinned(t, x)
 	y, err := Decode(bytes.NewReader(data), lshTestConfig(ProbeFallback))
 	if err != nil {
 		t.Fatal(err)
 	}
-	redata := encodeVersionToBytes(t, y, snapshotVersion)
+	redata := encodePinned(t, y)
 	if !bytes.Equal(data, redata) {
 		t.Fatalf("decode/re-encode changed the bytes: %d vs %d", len(data), len(redata))
 	}
 }
 
-// TestLoadV1Snapshot is the backward-compatibility acceptance test: a
-// genuine version-1 byte stream (no LSH section) still loads — both
-// under a plain config and under an LSH-enabled one, where signatures
-// and buckets are recomputed from the token bags exactly as a fresh
-// build would produce them.
-func TestLoadV1Snapshot(t *testing.T) {
+// TestLoadPlainSnapshotUnderLSH: an image saved with LSH off carries no
+// signatures, yet loads under a plain config and under an LSH-enabled
+// one — where signatures and buckets are recomputed from the token bags
+// exactly as a fresh build would produce them.
+func TestLoadPlainSnapshotUnderLSH(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		src := smallTestIndex(t, clean)
-		v1 := encodeVersionToBytes(t, src, snapshotVersionV1)
+		data := encodeToBytes(t, src)
 
-		plain, err := Decode(bytes.NewReader(v1), DefaultConfig())
+		plain, err := Decode(bytes.NewReader(data), DefaultConfig())
 		if err != nil {
-			t.Fatalf("clean=%v: v1 snapshot rejected under plain config: %v", clean, err)
+			t.Fatalf("clean=%v: plain snapshot rejected under plain config: %v", clean, err)
 		}
 		if plain.Size() != src.Size() || plain.LSHEnabled() {
-			t.Fatalf("clean=%v: plain v1 restore: size %d/%d, lsh %v",
+			t.Fatalf("clean=%v: plain restore: size %d/%d, lsh %v",
 				clean, plain.Size(), src.Size(), plain.LSHEnabled())
 		}
 
-		lshIdx, err := Decode(bytes.NewReader(v1), lshTestConfig(ProbeFallback))
+		lshIdx, err := Decode(bytes.NewReader(data), lshTestConfig(ProbeFallback))
 		if err != nil {
-			t.Fatalf("clean=%v: v1 snapshot rejected under LSH config: %v", clean, err)
+			t.Fatalf("clean=%v: plain snapshot rejected under LSH config: %v", clean, err)
 		}
 		if !lshIdx.LSHEnabled() {
-			t.Fatal("LSH config did not enable the subsystem on a v1 restore")
+			t.Fatal("LSH config did not enable the subsystem on a plain restore")
 		}
 		lshInvariants(t, lshIdx)
 
@@ -182,12 +167,12 @@ func TestLoadV1Snapshot(t *testing.T) {
 	}
 }
 
-// TestLoadLSHSnapshotWithLSHOff pins the downgrade path: a v2 file with
+// TestLoadLSHSnapshotWithLSHOff pins the downgrade path: a file with
 // signatures loads under a plain config, drops the signatures, serves
 // queries identically to a never-LSH index, and re-saves as hasLSH=0.
 func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 	x := lshSnapshotIndex(t, false)
-	data := encodeVersionToBytes(t, x, snapshotVersion)
+	data := encodeToBytes(t, x)
 	y, err := Decode(bytes.NewReader(data), DefaultConfig())
 	if err != nil {
 		t.Fatalf("LSH snapshot rejected under plain config: %v", err)
@@ -214,7 +199,7 @@ func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 		}
 	}
 	// Re-save drops the section cleanly and the result loads everywhere.
-	again := encodeVersionToBytes(t, y, snapshotVersion)
+	again := encodeToBytes(t, y)
 	if _, err := Decode(bytes.NewReader(again), lshTestConfig(ProbeUnion)); err != nil {
 		t.Fatalf("re-saved plain snapshot rejected under LSH config: %v", err)
 	}
@@ -224,7 +209,7 @@ func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 // LSH section: every one must produce an error, never a panic.
 func TestDecodeRejectsCraftedLSHSections(t *testing.T) {
 	x := lshSnapshotIndex(t, false)
-	valid := encodeVersionToBytes(t, x, snapshotVersion)
+	valid := encodePinned(t, x)
 	if _, err := Decode(bytes.NewReader(valid), lshTestConfig(ProbeFallback)); err != nil {
 		t.Fatalf("valid LSH snapshot rejected: %v", err)
 	}

@@ -8,7 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"sparker/internal/profile"
 )
@@ -331,6 +333,40 @@ func encodeToBytes(t testing.TB, x *Index) []byte {
 	return buf.Bytes()
 }
 
+// encodePinned encodes at a fixed save timestamp, so two encodes of the
+// same state are byte-identical.
+func encodePinned(t testing.TB, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	x.writeMu.Lock()
+	_, err := x.encodeLocked(&buf, time.Unix(0, 42))
+	x.writeMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// imageWithOpTail returns the image of an 8-profile index and the op
+// frames of 4 later upserts: image followed by tail is the layout an
+// older build's delta save wrote.
+func imageWithOpTail(t testing.TB, clean bool, cfg Config) (image, tail []byte) {
+	t.Helper()
+	sources := 1
+	if clean {
+		sources = 2
+	}
+	x := New(clean, cfg)
+	upsertAll(t, x, synthQueryProfiles(8, sources, 29))
+	image = encodeToBytes(t, x)
+	upsertAll(t, x, synthQueryProfiles(12, sources, 31)[8:])
+	tail, _, err := x.OpsSince(8, 1<<20)
+	if err != nil || len(tail) == 0 {
+		t.Fatalf("op tail: %d bytes, err %v", len(tail), err)
+	}
+	return image, tail
+}
+
 func smallTestIndex(t testing.TB, clean bool) *Index {
 	t.Helper()
 	sources := 1
@@ -367,25 +403,32 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	mutate("flipped payload bit", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b })
 	mutate("flipped crc bit", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
 	mutate("empty input", func(b []byte) []byte { return nil })
+	// A snapshot is exactly one image: nothing may follow its checksum.
+	mutate("trailing garbage", func(b []byte) []byte { return append(b, 0xaa) })
 
-	// Bytes after the checksum: a v3 file may legitimately carry a delta
-	// tail of op frames there, so garbage is treated as a torn tail and
-	// dropped — the decode succeeds with zero ops applied. The pre-delta
-	// formats stay strict: nothing may follow their checksum.
-	garbage := append(append([]byte(nil), valid...), 0xaa)
-	y, err := Decode(bytes.NewReader(garbage), cfg)
-	if err != nil {
-		t.Fatalf("v3 trailing garbage: torn delta tail not dropped: %v", err)
-	}
-	if st, _ := y.PersistState(); st.DeltaOps != 0 {
-		t.Fatalf("v3 trailing garbage: %d ops applied from garbage tail", st.DeltaOps)
-	}
-	v2 := encodeVersionToBytes(t, smallTestIndex(t, true), snapshotVersionV2)
-	if _, err := Decode(bytes.NewReader(v2), cfg); err != nil {
-		t.Fatalf("valid v2 snapshot rejected: %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(append(v2, 0xaa)), cfg); err == nil {
-		t.Fatal("v2 trailing garbage: corrupt snapshot accepted")
+	// A valid op-frame tail after the image — what an older build's
+	// delta save appended — is rejected by name, never replayed and
+	// never silently dropped.
+	lshOpLog := lshTestConfig(ProbeFallback)
+	lshOpLog.OpLog.Enabled = true
+	for _, tc := range []struct {
+		name  string
+		clean bool
+		cfg   Config
+	}{
+		{"clean", true, opLogConfig()},
+		{"dirty", false, opLogConfig()},
+		{"lsh", false, lshOpLog},
+	} {
+		image, tail := imageWithOpTail(t, tc.clean, tc.cfg)
+		if _, err := Decode(bytes.NewReader(image), tc.cfg); err != nil {
+			t.Fatalf("%s: clean image rejected: %v", tc.name, err)
+		}
+		withTail := append(append([]byte(nil), image...), tail...)
+		_, err := Decode(bytes.NewReader(withTail), tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("%s: image plus op-frame tail: err = %v, want a trailing-data error", tc.name, err)
+		}
 	}
 
 	// Version bump specifically surfaces as ErrSnapshotVersion so boot

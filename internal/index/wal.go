@@ -25,8 +25,8 @@ package index
 // segments after the damage cannot be replayed (the sequence would gap)
 // and are dropped, with both reported in WALRecovery.
 //
-// Retention: prune(seq) — called after every successful full or delta
-// save — deletes sealed segments whose every frame is at or below the
+// Retention: prune(seq) — called after every successful full save —
+// deletes sealed segments whose every frame is at or below the
 // seq the snapshot now covers, so snapshot + remaining WAL always
 // reconstructs the full state. The active segment is never pruned.
 

@@ -326,8 +326,8 @@ func TestWALMidLogDamageDropsLaterSegments(t *testing.T) {
 }
 
 // TestWALRotationAndPrune drives rotation with a small threshold, then
-// verifies a full save prunes everything the snapshot covers and that
-// snapshot + surviving segments still recover the full state.
+// verifies every full save prunes everything the snapshot covers and
+// that snapshot + surviving segments still recover the full state.
 func TestWALRotationAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "index.snap")
@@ -353,12 +353,22 @@ func TestWALRotationAndPrune(t *testing.T) {
 		t.Fatalf("after full save WAL stats = %+v, want all sealed segments pruned", after)
 	}
 
-	// More writes, then a delta save: retention keeps honoring the seq
-	// the snapshot file covers.
+	// More writes, then a second full save: retention keeps honoring
+	// the seq the snapshot file covers.
 	upsertAll(t, x, synthQueryProfiles(60, 2, 17)[40:])
-	if _, err := x.SaveDelta(snap); err != nil {
+	if x.Snapshot().WAL.Segments < 2 {
+		t.Fatal("second write batch did not rotate")
+	}
+	if _, err := x.Save(snap); err != nil {
 		t.Fatal(err)
 	}
+	second := x.Snapshot().WAL
+	if second.PrunedSegments <= after.PrunedSegments || second.Segments != 1 {
+		t.Fatalf("after second save WAL stats = %+v, want the new sealed segments pruned", second)
+	}
+
+	// Writes past the second save survive only in the log.
+	upsertAll(t, x, synthQueryProfiles(70, 2, 17)[60:])
 	if err := x.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}

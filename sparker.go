@@ -300,9 +300,8 @@ var (
 
 type (
 	// IndexOpLogConfig enables and bounds the in-memory op log
-	// (IndexConfig.OpLog): the source of delta snapshots
-	// (SaveIndexDelta) and of the replication feed (Index.OpsSince /
-	// Index.ApplyOps).
+	// (IndexConfig.OpLog): the source of the replication feed
+	// (Index.OpsSince / Index.ApplyOps).
 	IndexOpLogConfig = index.OpLogConfig
 	// IndexOpLogStats summarises the op log in IndexSnapshot.
 	IndexOpLogStats = index.OpLogStats
@@ -340,14 +339,6 @@ const (
 func ParseWALSyncPolicy(s string) (IndexWALSyncPolicy, error) {
 	return index.ParseWALSyncPolicy(s)
 }
-
-// SaveIndexDelta appends the ops applied since the last save to the
-// snapshot at path — persistence cost proportional to the write rate,
-// not the index size. It falls back to a full save whenever appending
-// would be unsafe (no previous save at this path, a file that changed
-// underneath, ops already evicted from the op log). A full SaveIndex
-// compacts the file back to a pure snapshot.
-func SaveIndexDelta(x *Index, path string) (IndexPersistState, error) { return x.SaveDelta(path) }
 
 // SaveIndex writes a durable snapshot of the index to path, atomically
 // (temp file + rename): a crash mid-save never corrupts a previous
