@@ -15,41 +15,42 @@
 //
 //	sparker-serve -generate
 //
-// Endpoints (versioned under /v1/, with the historical unversioned
-// paths kept as aliases): POST /v1/query, POST /v1/upsert, POST
+// Endpoints, all under /v1/: POST /v1/query, POST /v1/upsert, POST
 // /v1/bulk (JSON-lines bodies, "id" field plus attributes; ?source=1
 // targets the second clean source), POST /v1/snapshot/save, GET
 // /v1/stats. Every 4xx/5xx answers the typed JSON error envelope
-// {"error": {"code", "message"}}.
+// {"error": {"code", "message"}}; an unversioned path such as /query
+// answers 404 not_found. The operator routes /healthz, /readyz and
+// /metrics stay unversioned.
 //
 // With -lsh fallback (or union) the index also maintains MinHash/LSH
 // bucket postings beside the token postings: queries whose tokens are
 // all purged as too common — invisible to token blocking — fall back to
-// an LSH probe that recovers high-overlap matches. /query accepts
-// per-request ?probe= and ?probe_floor= overrides, and /stats reports
+// an LSH probe that recovers high-overlap matches. /v1/query accepts
+// per-request ?probe= and ?probe_floor= overrides, and /v1/stats reports
 // bucket and probe counters.
 //
 // Durable snapshots make restarts warm: with -snapshot the server
 // restores the index from the file at boot (falling back to a fresh
 // build from the input flags when the file is absent or written by an
 // incompatible format version), saves it on SIGTERM/SIGINT and on POST
-// /snapshot/save, and with -snapshot-interval also on a timer. Every
+// /v1/snapshot/save, and with -snapshot-interval also on a timer. Every
 // save writes the full image; ops applied between saves reach disk only
 // through the op log of -oplog-dir (below). With -read-only the
 // index rejects upserts (HTTP 403) — the replica serving mode: point
 // several read-only processes at one snapshot file. A replica only
 // ever reads that file: automatic saves are disabled and
-// /snapshot/save answers 403, so a stale replica can never clobber the
+// /v1/snapshot/save answers 403, so a stale replica can never clobber the
 // primary's newer snapshot.
 //
 //	sparker-serve -generate -snapshot /var/lib/sparker/idx.snap
 //	# ... kill it, restart with the same flags: no re-indexing.
 //
 // Replication: every sparker-serve keeps an in-memory op log (bounded
-// by -oplog-retain) and serves it on GET /deltas, with GET /snapshot
+// by -oplog-retain) and serves it on GET /v1/deltas, with GET /v1/snapshot
 // streaming a full bootstrap image. A replica started with -follow
 // bootstraps from its leader over HTTP, serves read-only at its last
-// applied sequence number, and tails the leader's delta feed; /stats
+// applied sequence number, and tails the leader's delta feed; /v1/stats
 // and /metrics report the replication lag. A follower that falls off
 // the leader's retention window re-bootstraps automatically.
 //
@@ -77,7 +78,7 @@
 // included — the next boot restores the newest snapshot, replays the
 // log tail past it, truncates a torn or bit-flipped tail at the last
 // good frame, and repopulates the in-memory delta window, so followers
-// catch up over /deltas without a re-bootstrap. Every snapshot save
+// catch up over /v1/deltas without a re-bootstrap. Every snapshot save
 // prunes the segments the snapshot already covers.
 //
 //	sparker-serve -generate -snapshot idx.snap -oplog-dir ./oplog -oplog-fsync always
@@ -98,7 +99,7 @@
 //	sparker-serve -generate -max-inflight 64 -shed-wait 50ms -default-budget-ms 20ms
 //
 // Observability: GET /metrics serves the Prometheus text exposition
-// (disable with -metrics=false), /query?debug=1 returns a per-stage
+// (disable with -metrics=false), /v1/query?debug=1 returns a per-stage
 // timing breakdown inline, -slow-query logs any query slower than the
 // given duration with its full stage breakdown, and -pprof starts
 // net/http/pprof on a separate address so profiling traffic never
@@ -150,12 +151,12 @@ func run() error {
 		idCol    = flag.String("id", "id", "identifier column name")
 		generate = flag.Bool("generate", false, "serve the generated SynthAbtBuy benchmark")
 
-		snapshot         = flag.String("snapshot", "", "snapshot file: restore at boot, save on SIGTERM and POST /snapshot/save")
+		snapshot         = flag.String("snapshot", "", "snapshot file: restore at boot, save on SIGTERM and POST /v1/snapshot/save")
 		snapshotInterval = flag.Duration("snapshot-interval", 0, "also save a full snapshot periodically (0 disables)")
 		readOnly         = flag.Bool("read-only", false, "replica mode: reject upserts (HTTP 403)")
 
-		follow      = flag.String("follow", "", "replicate from this leader URL: bootstrap via GET /snapshot, tail GET /deltas, serve read-only")
-		oplogRetain = flag.Int("oplog-retain", 0, "op frames retained in memory for /deltas (0: default window)")
+		follow      = flag.String("follow", "", "replicate from this leader URL: bootstrap via GET /v1/snapshot, tail GET /v1/deltas, serve read-only")
+		oplogRetain = flag.Int("oplog-retain", 0, "op frames retained in memory for /v1/deltas (0: default window)")
 
 		oplogDir      = flag.String("oplog-dir", "", "durable op-log directory: append every op to rotating segment files before applying it, replay the tail at boot (crash-safe restart)")
 		oplogFsync    = flag.String("oplog-fsync", "interval", "op-log fsync policy: always (fsync per append), interval (background flush), never (OS page cache only)")
@@ -165,10 +166,10 @@ func run() error {
 		pprofAddr = flag.String("pprof", "", "also serve net/http/pprof on this address (empty disables)")
 		slowQuery = flag.Duration("slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
 
-		maxInFlight   = flag.Int("max-inflight", 0, "admission gate: max concurrently served /query+/upsert+/bulk requests; beyond it requests shed with 429/503 instead of queueing (0 disables)")
+		maxInFlight   = flag.Int("max-inflight", 0, "admission gate: max concurrently served /v1/query+/v1/upsert+/v1/bulk requests; beyond it requests shed with 429/503 instead of queueing (0 disables)")
 		shedWait      = flag.Duration("shed-wait", 0, "how long an over-limit request may wait for an admission slot before a 503 (0: shed immediately with 429)")
 		defaultBudget = flag.Duration("default-budget-ms", 0, "per-query wall-clock budget applied when the request carries no ?budget_ms= (0 = unlimited); accepts any duration, e.g. 50ms")
-		maxBody       = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "max request body bytes on /query, /upsert and /bulk (413 beyond it)")
+		maxBody       = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "max request body bytes on /v1/query, /v1/upsert and /v1/bulk (413 beyond it)")
 
 		shardURLs   = flag.String("shards", "", "coordinator mode: comma-separated shard base URLs (e.g. http://s0:8081,http://s1:8082); scatter-gathers queries and hash-routes writes instead of serving an index")
 		probeEvery  = flag.Duration("probe-interval", 500*time.Millisecond, "coordinator mode: shard /readyz health-probe cadence")
@@ -216,17 +217,27 @@ func run() error {
 		if len(bad) > 0 {
 			return fmt.Errorf("coordinator mode (-shards) serves no local index; drop %s", strings.Join(bad, ", "))
 		}
-		return runCoordinator(coordinatorConfig{
-			addr:          *addr,
-			shards:        *shardURLs,
-			logger:        logger,
-			maxInFlight:   *maxInFlight,
-			shedWait:      *shedWait,
-			defaultBudget: *defaultBudget,
-			maxBody:       *maxBody,
-			probeInterval: *probeEvery,
-			metrics:       *metrics,
+		var urls []string
+		for _, u := range strings.Split(*shardURLs, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				urls = append(urls, u)
+			}
+		}
+		cluster, err := serve.NewCluster(urls, serve.ClusterOptions{
+			Logger:        logger,
+			MaxInFlight:   *maxInFlight,
+			ShedWait:      *shedWait,
+			DefaultBudget: *defaultBudget,
+			MaxBodyBytes:  *maxBody,
+			ProbeInterval: *probeEvery,
+			NoMetrics:     !*metrics,
 		})
+		if err != nil {
+			return err
+		}
+		defer cluster.Close()
+		logger.Info("coordinator mode", "shards", len(urls))
+		return serveUntilSignal(*addr, cluster, logger)
 	}
 
 	// Validate at the flag layer: Config treats zero as "unset", so an
@@ -268,7 +279,7 @@ func run() error {
 
 	cfg := index.DefaultConfig()
 	cfg.Shards = *indexShards
-	// Every serving process keeps an op log: it is what /deltas serves,
+	// Every serving process keeps an op log: it is what /v1/deltas serves,
 	// and its memory is bounded by the retention window regardless of
 	// index size.
 	cfg.OpLog.Enabled = true
@@ -411,7 +422,7 @@ func run() error {
 	// Attach the durable op log after the snapshot restore: recovery
 	// replays only the segment tail past the restored sequence number,
 	// repopulating the in-memory window so followers resume from
-	// /deltas without a re-bootstrap. From here every op hits disk
+	// /v1/deltas without a re-bootstrap. From here every op hits disk
 	// before it mutates the index.
 	if *oplogDir != "" {
 		rec, err := idx.OpenWAL(walCfg)
@@ -488,11 +499,8 @@ func run() error {
 		logger.Info("pprof listening", "addr", *pprofAddr)
 	}
 
-	// The handler itself refuses /snapshot/save on a read-only index
-	// (403), so the path can be passed through unconditionally. The
-	// server-level timeouts close the slowloris hole: a client that
-	// trickles headers or never reads its response is cut off instead
-	// of holding a connection (and, with admission on, a slot) forever.
+	// The handler itself refuses /v1/snapshot/save on a read-only index
+	// (403), so the path can be passed through unconditionally.
 	handler := serve.NewHandlerOptions(idx, serve.Options{
 		SnapshotPath:  *snapshot,
 		Logger:        logger,
@@ -504,14 +512,6 @@ func run() error {
 		MaxBodyBytes:  *maxBody,
 		Follower:      follower,
 	})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
 	if *maxInFlight > 0 {
 		logger.Info("admission control on",
 			"max_inflight", *maxInFlight,
@@ -524,105 +524,62 @@ func run() error {
 		go func() { _ = follower.Run(runCtx, handler) }()
 		logger.Info("following leader", "leader", *follow)
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case sig := <-stop:
-		logger.Info("shutting down", "signal", sig.String())
-		cancelRun()
-		// Stop the timed saves first and wait the loop out: the final
-		// save below must not race an in-flight interval save.
-		close(stopSaves)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Error("shutdown failed", "err", err)
-		}
-		saveLoop.Wait()
-		save("shutdown")
-		// After the final save so a full snapshot prunes now-covered
-		// segments; close syncs whatever the flush policy left pending.
-		if idx.WALEnabled() {
-			if err := idx.CloseWAL(); err != nil {
-				logger.Error("op log close failed", "err", err)
-			}
-		}
-		return nil
-	}
-}
-
-// coordinatorConfig is the flag subset coordinator mode consumes.
-type coordinatorConfig struct {
-	addr          string
-	shards        string
-	logger        *slog.Logger
-	maxInFlight   int
-	shedWait      time.Duration
-	defaultBudget time.Duration
-	maxBody       int64
-	probeInterval time.Duration
-	metrics       bool
-}
-
-// runCoordinator serves the scatter-gather front end: /v1 queries fan
-// out to every shard and merge, writes hash-route to one shard, and a
-// dead shard degrades answers instead of failing them.
-func runCoordinator(cc coordinatorConfig) error {
-	var urls []string
-	for _, u := range strings.Split(cc.shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	cluster, err := serve.NewCluster(urls, serve.ClusterOptions{
-		Logger:        cc.logger,
-		MaxInFlight:   cc.maxInFlight,
-		ShedWait:      cc.shedWait,
-		DefaultBudget: cc.defaultBudget,
-		MaxBodyBytes:  cc.maxBody,
-		ProbeInterval: cc.probeInterval,
-		NoMetrics:     !cc.metrics,
-	})
-	if err != nil {
+	if err := serveUntilSignal(*addr, handler, logger); err != nil {
 		return err
 	}
-	defer cluster.Close()
+	cancelRun()
+	// Stop the timed saves and wait the loop out: the final save below
+	// must not race an in-flight interval save.
+	close(stopSaves)
+	saveLoop.Wait()
+	save("shutdown")
+	// After the final save so a full snapshot prunes now-covered
+	// segments; close syncs whatever the flush policy left pending.
+	if idx.WALEnabled() {
+		if err := idx.CloseWAL(); err != nil {
+			logger.Error("op log close failed", "err", err)
+		}
+	}
+	return nil
+}
+
+// serveUntilSignal serves h on addr until SIGINT/SIGTERM, then drains
+// in-flight requests (for at most 10s). It returns the listener's
+// error, or nil after a signal-driven shutdown. The server-level
+// timeouts close the slowloris hole: a client that trickles headers or
+// never reads its response is cut off instead of holding a connection
+// (and, with admission on, a slot) forever.
+func serveUntilSignal(addr string, h http.Handler, logger *slog.Logger) error {
 	srv := &http.Server{
-		Addr:              cc.addr,
-		Handler:           cluster,
+		Addr:              addr,
+		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       time.Minute,
 		WriteTimeout:      2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	cc.logger.Info("coordinator listening", "addr", cc.addr, "shards", len(urls))
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(stop)
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+	logger.Info("listening", "addr", addr)
 	select {
 	case err := <-errCh:
 		return err
 	case sig := <-stop:
-		cc.logger.Info("shutting down", "signal", sig.String())
+		logger.Info("shutting down", "signal", sig.String())
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
-			cc.logger.Error("shutdown failed", "err", err)
+			logger.Error("shutdown failed", "err", err)
 		}
 		return nil
 	}
 }
 
 // loadCollection assembles the startup collection from the flags; with no
-// inputs it serves an empty clean-clean index ready for /bulk loads.
+// inputs it serves an empty clean-clean index ready for /v1/bulk loads.
 func loadCollection(fileA, fileB, dirty, idCol string, generate bool) (*profile.Collection, error) {
 	switch {
 	case generate:

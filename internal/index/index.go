@@ -414,9 +414,10 @@ func (x *Index) Upsert(p profile.Profile) (profile.ID, bool, error) {
 	}
 	x.putLocked(p)
 	x.upserts.Add(1)
-	x.seq.Add(1)
 	if x.oplog != nil {
-		x.oplog.append(rec)
+		x.oplog.append(rec, &x.seq)
+	} else {
+		x.seq.Add(1)
 	}
 	if m != nil {
 		m.Upsert.Observe(obs.Now() - start)

@@ -46,6 +46,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sparker/internal/profile"
@@ -142,10 +143,17 @@ func newOpLog(cfg OpLogConfig) *opLog {
 }
 
 // append retains one op and wakes long-poll waiters. Records must arrive
-// in sequence order (the caller holds the index writer lock).
-func (l *opLog) append(rec opRec) {
+// in sequence order (the caller holds the index writer lock). A non-nil
+// seq is advanced to rec.seq inside the same critical section that
+// retains the frame, and OpsSince reads seq under that lock too: a
+// poller can never see a sequence number whose frame is not yet in the
+// window (a spurious gap) nor a frame it was not woken for.
+func (l *opLog) append(rec opRec, seq *atomic.Int64) {
 	l.mu.Lock()
 	l.recs = append(l.recs, rec)
+	if seq != nil {
+		seq.Store(rec.seq)
+	}
 	l.bytes += int64(len(rec.frame))
 	l.appended++
 	// Evict from the front past the retention bounds; the newest op is
@@ -185,10 +193,8 @@ func (l *opLog) stats() OpLogStats {
 // (since, …], bounded by maxBytes (at least one frame is returned when
 // any is pending). gap reports that ops after since existed but were
 // evicted — or that since runs ahead of the log — so the caller must
-// resynchronise.
+// resynchronise. Caller holds l.mu (read).
 func (l *opLog) framesAfter(since int64, maxBytes int) (frames []byte, gap bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if len(l.recs) == 0 {
 		// Nothing retained: with appended ops evicted, anything before
 		// the current head is unservable. The caller distinguishes
@@ -249,6 +255,10 @@ func (x *Index) OpsSince(since int64, maxBytes int) (frames []byte, seq int64, e
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
+	// seq advances under the log lock (see opLog.append), so cur and the
+	// retained window are one consistent view.
+	x.oplog.mu.RLock()
+	defer x.oplog.mu.RUnlock()
 	cur := x.seq.Load()
 	if since == cur {
 		return nil, cur, nil
@@ -509,9 +519,10 @@ func (x *Index) applyOpLocked(o op, payload []byte) error {
 		x.nextID = o.p.ID + 1
 	}
 	x.upserts.Add(1)
-	x.seq.Store(o.seq)
 	if x.oplog != nil {
-		x.oplog.append(opRec{seq: o.seq, tstamp: o.tstamp, frame: frame})
+		x.oplog.append(opRec{seq: o.seq, tstamp: o.tstamp, frame: frame}, &x.seq)
+	} else {
+		x.seq.Store(o.seq)
 	}
 	return nil
 }

@@ -229,3 +229,75 @@ func TestApplyOpsRejects(t *testing.T) {
 		t.Fatal("divergent replica applied a conflicting stream")
 	}
 }
+
+// TestOpsSinceCaughtUpNeverGaps polls OpsSince at the caught-up
+// position while writes land — both the leader path (Upsert) and the
+// follower path (ApplyOps, which a chained replica serves from). A
+// poller that reads the sequence number must always find that op's
+// frame in the window: a gap there would send a healthy follower into
+// a full re-bootstrap.
+func TestOpsSinceCaughtUpNeverGaps(t *testing.T) {
+	const n = 10000
+	ps := synthQueryProfiles(n, 1, 7)
+	leaderOps := func(x *Index) {
+		for _, p := range ps {
+			if _, _, err := x.Upsert(p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	src := New(false, opLogConfig())
+	upsertAll(t, src, ps)
+	var stream bytes.Buffer
+	for since := int64(0); since < src.Seq(); {
+		frames, _, err := src.OpsSince(since, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, _, err := countOpFrames(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Write(frames)
+		since += int64(k)
+	}
+	followerOps := func(x *Index) {
+		if applied, _, err := x.ApplyOps(bytes.NewReader(stream.Bytes())); err != nil || applied != n {
+			t.Errorf("ApplyOps applied %d of %d: %v", applied, n, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		write func(*Index)
+	}{{"upsert", leaderOps}, {"apply", followerOps}} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := New(false, opLogConfig())
+			done := make(chan struct{})
+			var polls, gaps int
+			var pollErr error
+			go func() {
+				defer close(done)
+				for x.Seq() < n {
+					polls++
+					if _, _, err := x.OpsSince(x.Seq(), 1<<20); err != nil {
+						if !errors.Is(err, ErrOpLogGap) {
+							pollErr = err
+							return
+						}
+						gaps++
+					}
+				}
+			}()
+			tc.write(x)
+			<-done
+			if pollErr != nil {
+				t.Fatal(pollErr)
+			}
+			if gaps > 0 {
+				t.Fatalf("%d of %d caught-up polls reported ErrOpLogGap, want 0", gaps, polls)
+			}
+		})
+	}
+}

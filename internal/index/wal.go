@@ -547,7 +547,7 @@ func (x *Index) replayWALSegment(seg walSegment, rec *WALRecovery) (goodEnd int6
 			// can serve followers that were behind the snapshot when the
 			// leader died (the no-resync half of the restart contract).
 			if last, ok := x.oplog.newestSeq(); !ok || o.seq == last+1 {
-				x.oplog.append(opRec{seq: o.seq, tstamp: o.tstamp, frame: frameOf(payload)})
+				x.oplog.append(opRec{seq: o.seq, tstamp: o.tstamp, frame: frameOf(payload)}, nil)
 			}
 		case o.seq == cur+1:
 			if err := x.applyOpLocked(o, payload); err != nil {

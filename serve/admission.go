@@ -2,14 +2,16 @@ package serve
 
 // Admission control and graceful degradation: the front door of the
 // serving tier. A bounded semaphore caps in-flight work on the
-// expensive routes (/query, /upsert, /bulk); an over-limit request
-// waits at most Options.ShedWait for a slot (bounded by its own
+// resolution routes (/v1/query, /v1/upsert, /v1/bulk); an over-limit
+// request waits at most the shed wait for a slot (bounded by its own
 // context) and is otherwise shed with 429 (gate full, no wait
 // configured) or 503 (wait expired) plus Retry-After — the server
 // answers fast instead of queueing without bound. Admitted queries
 // carry a degradation level derived from gate occupancy; the ladder
-// (degrade* below) tightens their budget and probe policy so a loaded
+// (degrade below) tightens their budget and probe policy so a loaded
 // server keeps answering with cheaper, truncated best-first results.
+// The front end (front.go) owns the one gate and the one ladder of
+// both the single node and the coordinator.
 
 import (
 	"context"
@@ -99,20 +101,13 @@ func (a *admission) acquire(ctx context.Context) (release func(), level, status 
 	}
 }
 
-// gated wraps a handler behind the gate: over-limit requests shed with
-// 429/503 + Retry-After instead of queueing, and the admission level
-// rides in the request context for the degradation ladder. Shared by
-// the single-node Handler and the cluster Coordinator.
-func (a *admission) gated(retryAfterSecs int64, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		release, level, status := a.acquire(r.Context())
-		if status != 0 {
-			shedResponse(w, status, retryAfterSecs)
-			return
-		}
-		defer release()
-		fn(w, r.WithContext(context.WithValue(r.Context(), admissionLevelKey{}, level)))
-	}
+// admissionLevelKey carries the degradation level from the gate to the
+// query handler.
+type admissionLevelKey struct{}
+
+func admissionLevel(r *http.Request) int {
+	level, _ := r.Context().Value(admissionLevelKey{}).(int)
+	return level
 }
 
 // levelFor maps gate occupancy onto the degradation ladder: 0 below
@@ -146,15 +141,18 @@ const (
 // level 0 leaves the request's own cap untouched.
 var degradedMaxComparisons = [4]int{0, 1024, 256, 64}
 
-// degrade tightens a request's resolve options per the admission
-// level, in ladder order: level 1 tightens the wall-clock budget and
-// caps comparisons, level 2 also drops a union probe to fallback,
-// level 3 drops the probe entirely. The (possibly imposed) wall-clock
-// budget is returned so the caller can stamp the deadline once.
-func degrade(opts *index.ResolveOptions, level int, budget time.Duration) time.Duration {
+// degrade tightens a query's knobs per the admission level, in ladder
+// order: level 1 tightens the wall-clock budget (imposing one if the
+// query carried none) and caps comparisons, level 2 also drops a union
+// probe to fallback, level 3 drops the probe entirely. The caller folds
+// the server's default budget and the backend's probe policy in first,
+// so a degraded query is never looser than the same query at level 0 —
+// on a single node, and at the coordinator before its per-shard split.
+func degrade(p *QueryParams, level int) {
 	if level <= 0 {
-		return budget
+		return
 	}
+	budget := p.budget()
 	if budget == 0 || budget > degradedBudgetCap {
 		budget = degradedBudgetCap
 	}
@@ -162,23 +160,14 @@ func degrade(opts *index.ResolveOptions, level int, budget time.Duration) time.D
 	if budget < degradedBudgetFloor {
 		budget = degradedBudgetFloor
 	}
-	if lim := degradedMaxComparisons[level]; opts.Budget.MaxComparisons == 0 || opts.Budget.MaxComparisons > lim {
-		opts.Budget.MaxComparisons = lim
+	p.setBudget(budget)
+	if lim := degradedMaxComparisons[level]; p.MaxComparisons == 0 || p.MaxComparisons > lim {
+		p.MaxComparisons, p.MaxComparisonsSet = lim, true
 	}
 	switch {
 	case level >= 3:
-		opts.Probe.Policy = index.ProbeOff
-	case level >= 2 && opts.Probe.Policy == index.ProbeUnion:
-		opts.Probe.Policy = index.ProbeFallback
+		p.Probe = index.ProbeOff.String()
+	case level >= 2 && p.Probe == index.ProbeUnion.String():
+		p.Probe = index.ProbeFallback.String()
 	}
-	return budget
-}
-
-// shed writes the 429/503 shed response: Retry-After (derived from the
-// configured shed wait — see retryAfterSeconds) so well-behaved clients
-// back off for at least as long as the server would have let them wait
-// for a slot, and the typed error envelope like every other error
-// surface, with retry_after_seconds mirroring the header.
-func shedResponse(w http.ResponseWriter, status int, retryAfterSecs int64) {
-	httpErrorRetry(w, status, ErrCodeOverloaded, retryAfterSecs, errOverloaded)
 }

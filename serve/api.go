@@ -2,10 +2,10 @@ package serve
 
 // The versioned /v1 API contract: one typed JSON error envelope for
 // every 4xx/5xx response, and one typed codec for the per-request
-// query knobs. Routes are registered under /v1/ with the historical
-// unversioned paths kept as aliases, so existing clients keep working
-// while new surfaces (the cluster coordinator above all) speak a
-// stable, forwardable contract.
+// query knobs. Every API route lives under /v1/ (the operator routes
+// /healthz, /readyz and /metrics stay unversioned); any other path,
+// the historical unversioned /query, /upsert, /stats and friends
+// included, answers the not_found envelope.
 //
 // The knob codec is the piece that makes scatter-gather trustworthy:
 // the coordinator decodes a request's knobs once, adjusts them
@@ -15,7 +15,6 @@ package serve
 // decided on, never a lossy re-parse.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -44,10 +43,13 @@ const (
 //	{"error": {"code": "...", "message": "...", "retry_after_seconds": N}}
 //
 // Code is machine-matchable (the ErrCode* constants), Message is for
-// humans, RetryAfterSeconds mirrors the Retry-After header on shed and
-// not-ready responses.
+// humans, RetryAfterSeconds mirrors the Retry-After header of a shed
+// response. Server-side, an *APIError is also the error a handler or
+// backend returns to pick the status and code writeError answers with.
 type APIError struct {
 	Err APIErrorDetail `json:"error"`
+	// status is the HTTP status the envelope is answered with.
+	status int
 }
 
 // APIErrorDetail is the payload of the error envelope.
@@ -57,33 +59,25 @@ type APIErrorDetail struct {
 	RetryAfterSeconds int64  `json:"retry_after_seconds,omitempty"`
 }
 
-// Error makes the envelope usable as a Go error on the client side
-// (the coordinator's shard client propagates shard errors through it).
+// Error makes the envelope usable as a Go error.
 func (e *APIError) Error() string {
 	return fmt.Sprintf("%s: %s", e.Err.Code, e.Err.Message)
 }
 
-// httpError writes the typed error envelope.
-func httpError(w http.ResponseWriter, status int, code string, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(APIError{Err: APIErrorDetail{Code: code, Message: err.Error()}})
+// newAPIError builds the envelope answered with status.
+func newAPIError(status int, code string, err error) *APIError {
+	return &APIError{Err: APIErrorDetail{Code: code, Message: err.Error()}, status: status}
 }
 
-// httpErrorRetry is httpError with a Retry-After header and the
-// matching retry_after_seconds field — the shed/not-ready shape.
-func httpErrorRetry(w http.ResponseWriter, status int, code string, retryAfterSecs int64, err error) {
-	w.Header().Set("Retry-After", strconv.FormatInt(retryAfterSecs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(APIError{Err: APIErrorDetail{
-		Code: code, Message: err.Error(), RetryAfterSeconds: retryAfterSecs,
-	}})
+// badRequest is the 400 envelope of a malformed body or knob.
+func badRequest(err error) *APIError {
+	return newAPIError(http.StatusBadRequest, ErrCodeBadRequest, err)
 }
 
-// methodError is the 405 every GET/POST-only route writes.
-func methodError(w http.ResponseWriter, want string) {
-	httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, fmt.Errorf("use %s", want))
+// notFound answers every path outside the route table.
+func notFound(w http.ResponseWriter, r *http.Request) {
+	writeError(w, newAPIError(http.StatusNotFound, ErrCodeNotFound,
+		fmt.Errorf("no route %s (the API lives under /v1/)", r.URL.Path)))
 }
 
 // QueryParams is the typed form of the per-request knobs on /v1/query
@@ -115,7 +109,7 @@ type QueryParams struct {
 
 // ParseQueryParams decodes the request knobs, validating syntax and
 // ranges. Index-dependent validation (probe knobs need an LSH-enabled
-// index) happens where an index is at hand — see resolveOptions — so a
+// index) happens where an index is at hand — see Handler.prepare — so a
 // coordinator can parse and forward knobs for indexes it never sees.
 // Unknown parameters are ignored for forward compatibility.
 func ParseQueryParams(q url.Values) (QueryParams, error) {
@@ -194,37 +188,30 @@ func (p QueryParams) Values() url.Values {
 // Encode is Values().Encode(): the canonical query string.
 func (p QueryParams) Encode() string { return p.Values().Encode() }
 
-// resolveOptions turns the parsed knobs into the index call: the probe
-// overrides (explicitly requesting a probe on an index without LSH is
-// a client error, not a silent no-op) and the work budget. The
-// wall-clock budget is returned as a duration — the deadline itself is
-// stamped by the caller after the degradation ladder had its say.
-func (p QueryParams) resolveOptions(x *index.Index, defaultBudget time.Duration) (index.ResolveOptions, time.Duration, error) {
-	opts := index.ResolveOptions{Probe: index.ProbeOptions{Policy: x.ProbePolicy()}}
-	budget := defaultBudget
-	if p.Probe != "" {
-		pol, err := index.ParseProbePolicy(p.Probe)
-		if err != nil {
-			return opts, 0, err
-		}
-		if pol != index.ProbeOff && !x.LSHEnabled() {
-			return opts, 0, fmt.Errorf("probe=%s needs an LSH-enabled index (start sparker-serve with -lsh)", p.Probe)
-		}
-		opts.Probe.Policy = pol
+// budget is the wall-clock budget the knobs carry (0 = unlimited).
+func (p QueryParams) budget() time.Duration {
+	return time.Duration(p.BudgetMS * float64(time.Millisecond))
+}
+
+// setBudget sets an explicit wall-clock budget.
+func (p *QueryParams) setBudget(d time.Duration) {
+	p.BudgetMS = float64(d) / float64(time.Millisecond)
+	p.BudgetSet = true
+}
+
+// resolveOptions turns knobs settled by the backend's prepare and the
+// degradation ladder into the index call. The deadline is stamped
+// here, as resolution starts.
+func (p QueryParams) resolveOptions() index.ResolveOptions {
+	opts := index.ResolveOptions{Budget: index.Budget{MaxComparisons: p.MaxComparisons}}
+	// ParseQueryParams validated the policy and prepare folded the
+	// index default in, so the parse cannot fail.
+	opts.Probe.Policy, _ = index.ParseProbePolicy(p.Probe)
+	opts.Probe.Floor = p.ProbeFloor
+	if b := p.budget(); b > 0 {
+		opts.Budget.Deadline = index.DeadlineIn(b)
 	}
-	if p.ProbeFloor > 0 {
-		if !x.LSHEnabled() {
-			return opts, 0, fmt.Errorf("probe_floor needs an LSH-enabled index (start sparker-serve with -lsh)")
-		}
-		opts.Probe.Floor = p.ProbeFloor
-	}
-	if p.BudgetSet {
-		budget = time.Duration(p.BudgetMS * float64(time.Millisecond))
-	}
-	if p.MaxComparisonsSet {
-		opts.Budget.MaxComparisons = p.MaxComparisons
-	}
-	return opts, budget, nil
+	return opts
 }
 
 // DeltaParams is the typed form of the /v1/deltas knobs, shared by the

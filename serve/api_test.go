@@ -13,62 +13,27 @@ import (
 	"sparker/internal/index"
 )
 
-// TestErrorEnvelope pins the /v1 error contract: every 4xx/5xx path —
-// method, knob, payload, read-only, not-found, and both admission shed
-// shapes — answers the one typed envelope with a machine-matchable
-// code. A client that switches on error.code must never meet an
-// ad-hoc body.
-func TestErrorEnvelope(t *testing.T) {
-	writable := index.New(false, index.DefaultConfig())
-	plain := NewHandlerOptions(writable, Options{MaxBodyBytes: 64})
+// envelopeCase is one row of an error-envelope table: a request and
+// the status and envelope code it must answer with.
+type envelopeCase struct {
+	name       string
+	h          http.Handler
+	method     string
+	path       string
+	body       string
+	wantStatus int
+	wantCode   string
+	wantRetry  bool
+}
 
-	ro := index.New(false, index.DefaultConfig())
-	ro.SetReadOnly(true)
-	readOnly := NewHandler(ro)
-
-	// Gates pre-filled from inside the package: the next gated request
-	// finds no slot and sheds — 429 immediately without a shed wait,
-	// 503 after one.
-	shed429 := NewHandlerOptions(writable, Options{MaxInFlight: 1})
-	shed429.gate.sem <- struct{}{}
-	shed503 := NewHandlerOptions(writable, Options{MaxInFlight: 1, ShedWait: time.Millisecond})
-	shed503.gate.sem <- struct{}{}
-
-	profileBody := `{"id": "p1", "name": "acme blender"}`
-	for _, tc := range []struct {
-		name       string
-		h          http.Handler
-		method     string
-		path       string
-		body       string
-		wantStatus int
-		wantCode   string
-		wantRetry  bool
-	}{
-		{"method not allowed", plain, http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, false},
-		{"bad budget knob", plain, http.MethodPost, "/v1/query?budget_ms=nope", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"bad probe knob", plain, http.MethodPost, "/v1/query?probe=bogus", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"bad probe knob via alias", plain, http.MethodPost, "/query?probe=bogus", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"malformed body", plain, http.MethodPost, "/v1/query", "not json", http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"probe without lsh", plain, http.MethodPost, "/v1/query?probe=union", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"snapshot save unconfigured", plain, http.MethodPost, "/v1/snapshot/save", "", http.StatusNotFound, ErrCodeNotFound, false},
-		{"deltas without op log", plain, http.MethodGet, "/v1/deltas?since=0", "", http.StatusNotFound, ErrCodeNotFound, false},
-		{"bad deltas knob", plain, http.MethodGet, "/v1/deltas?since=-1", "", http.StatusNotFound, ErrCodeNotFound, false},
-		{"payload too large", plain, http.MethodPost, "/v1/upsert",
-			`{"id": "big", "name": "` + strings.Repeat("x", 200) + `"}`, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, false},
-		{"read-only upsert", readOnly, http.MethodPost, "/v1/upsert", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
-		{"read-only upsert via alias", readOnly, http.MethodPost, "/upsert", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
-		{"shed immediately", shed429, http.MethodPost, "/v1/query", profileBody, http.StatusTooManyRequests, ErrCodeOverloaded, true},
-		{"shed after wait", shed503, http.MethodPost, "/v1/query", profileBody, http.StatusServiceUnavailable, ErrCodeOverloaded, true},
-	} {
+// checkEnvelopes runs an error-envelope table: every row must answer
+// its status with the one typed JSON envelope, whichever backend sits
+// behind the front end.
+func checkEnvelopes(t *testing.T, cases []envelopeCase) {
+	t.Helper()
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var rd *strings.Reader
-			if tc.body != "" {
-				rd = strings.NewReader(tc.body)
-			} else {
-				rd = strings.NewReader("")
-			}
-			req := httptest.NewRequest(tc.method, tc.path, rd)
+			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
 			w := httptest.NewRecorder()
 			tc.h.ServeHTTP(w, req)
 			if w.Code != tc.wantStatus {
@@ -97,6 +62,91 @@ func TestErrorEnvelope(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestErrorEnvelope pins the /v1 error contract: every 4xx/5xx path —
+// method, knob, payload, read-only, not-found, unknown route and both
+// admission shed shapes — answers the one typed envelope with a
+// machine-matchable code. A client that switches on error.code must
+// never meet an ad-hoc body.
+func TestErrorEnvelope(t *testing.T) {
+	writable := index.New(false, index.DefaultConfig())
+	plain := NewHandlerOptions(writable, Options{MaxBodyBytes: 64})
+
+	ro := index.New(false, index.DefaultConfig())
+	ro.SetReadOnly(true)
+	readOnly := NewHandler(ro)
+
+	// Gates pre-filled from inside the package: the next gated request
+	// finds no slot and sheds — 429 immediately without a shed wait,
+	// 503 after one.
+	shed429 := NewHandlerOptions(writable, Options{MaxInFlight: 1})
+	shed429.gate.sem <- struct{}{}
+	shed503 := NewHandlerOptions(writable, Options{MaxInFlight: 1, ShedWait: time.Millisecond})
+	shed503.gate.sem <- struct{}{}
+
+	profileBody := `{"id": "p1", "name": "acme blender"}`
+	checkEnvelopes(t, []envelopeCase{
+		{"method not allowed", plain, http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, false},
+		{"bad budget knob", plain, http.MethodPost, "/v1/query?budget_ms=nope", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
+		{"bad probe knob", plain, http.MethodPost, "/v1/query?probe=bogus", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
+		{"legacy query path", plain, http.MethodPost, "/query?probe=bogus", profileBody, http.StatusNotFound, ErrCodeNotFound, false},
+		{"malformed body", plain, http.MethodPost, "/v1/query", "not json", http.StatusBadRequest, ErrCodeBadRequest, false},
+		{"probe without lsh", plain, http.MethodPost, "/v1/query?probe=union", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
+		{"snapshot save unconfigured", plain, http.MethodPost, "/v1/snapshot/save", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"deltas without op log", plain, http.MethodGet, "/v1/deltas?since=0", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"bad deltas knob", plain, http.MethodGet, "/v1/deltas?since=-1", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"payload too large", plain, http.MethodPost, "/v1/upsert",
+			`{"id": "big", "name": "` + strings.Repeat("x", 200) + `"}`, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, false},
+		{"read-only upsert", readOnly, http.MethodPost, "/v1/upsert", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
+		{"legacy upsert path", readOnly, http.MethodPost, "/upsert", profileBody, http.StatusNotFound, ErrCodeNotFound, false},
+		{"unknown route", plain, http.MethodGet, "/v1/nope", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"unknown version", plain, http.MethodPost, "/v2/query", profileBody, http.StatusNotFound, ErrCodeNotFound, false},
+		{"root", plain, http.MethodGet, "/", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"shed immediately", shed429, http.MethodPost, "/v1/query", profileBody, http.StatusTooManyRequests, ErrCodeOverloaded, true},
+		{"shed after wait", shed503, http.MethodPost, "/v1/query", profileBody, http.StatusServiceUnavailable, ErrCodeOverloaded, true},
+	})
+}
+
+// TestClusterErrorEnvelope runs the envelope contract against the
+// coordinator: its own 4xx/5xx paths (method, knob, payload, shed,
+// unknown and legacy routes) and a shard's error passed through.
+func TestClusterErrorEnvelope(t *testing.T) {
+	shard := httptest.NewServer(NewHandler(index.New(false, index.DefaultConfig())))
+	t.Cleanup(shard.Close)
+	ro := index.New(false, index.DefaultConfig())
+	ro.SetReadOnly(true)
+	roShard := httptest.NewServer(NewHandler(ro))
+	t.Cleanup(roShard.Close)
+
+	cluster := func(shardURL string, opts ClusterOptions) *Cluster {
+		c, err := NewCluster([]string{shardURL}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(c.Close)
+		return c
+	}
+	plain := cluster(shard.URL, ClusterOptions{MaxBodyBytes: 64})
+	readOnly := cluster(roShard.URL, ClusterOptions{})
+	shed429 := cluster(shard.URL, ClusterOptions{MaxInFlight: 1})
+	shed429.gate.sem <- struct{}{}
+	shed503 := cluster(shard.URL, ClusterOptions{MaxInFlight: 1, ShedWait: time.Millisecond})
+	shed503.gate.sem <- struct{}{}
+
+	profileBody := `{"id": "p1", "name": "acme blender"}`
+	checkEnvelopes(t, []envelopeCase{
+		{"method not allowed", plain, http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, false},
+		{"bad budget knob", plain, http.MethodPost, "/v1/query?budget_ms=nope", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
+		{"payload too large", plain, http.MethodPost, "/v1/bulk",
+			`{"id": "big", "name": "` + strings.Repeat("x", 200) + `"}`, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, false},
+		{"read-only shard upsert", readOnly, http.MethodPost, "/v1/upsert", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
+		{"legacy query path", plain, http.MethodPost, "/query", profileBody, http.StatusNotFound, ErrCodeNotFound, false},
+		{"legacy stats path", plain, http.MethodGet, "/stats", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"unknown route", plain, http.MethodGet, "/v1/nope", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"shed immediately", shed429, http.MethodPost, "/v1/query", profileBody, http.StatusTooManyRequests, ErrCodeOverloaded, true},
+		{"shed after wait", shed503, http.MethodPost, "/v1/query", profileBody, http.StatusServiceUnavailable, ErrCodeOverloaded, true},
+	})
 }
 
 // TestQueryParamsRoundTrip pins the codec the coordinator forwards

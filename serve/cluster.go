@@ -2,8 +2,9 @@ package serve
 
 // The distributed serving tier: a shard coordinator that fronts N
 // independent sparker-serve processes behind the same /v1 API a single
-// node speaks. Entity resolution over an inverted blocking index is
-// embarrassingly parallel in the profile population — each shard owns a
+// node speaks — the same front end (front.go) over a fan-out backend.
+// Entity resolution over an inverted blocking index is embarrassingly
+// parallel in the profile population — each shard owns a
 // disjoint slice of the profiles (upserts route by hash of the original
 // ID), answers queries against its slice alone, and the coordinator
 // merges the ranked partials into one answer (index.MergePartials).
@@ -19,12 +20,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,19 +78,17 @@ type ClusterOptions struct {
 	NoMetrics bool
 }
 
-// Cluster is the scatter-gather coordinator: an http.Handler exposing
-// the /v1 API (plus the legacy aliases) over a fleet of shard
-// processes. Construct with NewCluster; Close stops the health prober.
+// Cluster is the scatter-gather coordinator: the /v1 front end over a
+// fleet of shard processes. It owns only coordinator work — fan-out,
+// merge, hash routing, shard health and its own stats and metric rows.
+// Construct with NewCluster; Close stops the health prober.
 type Cluster struct {
-	router
-	shards     []*shardClient
-	opts       ClusterOptions
-	logger     *slog.Logger
-	gate       *admission
-	maxBody    int64
-	retryAfter int64
-	retries    int
-	retryBase  time.Duration
+	frontEnd
+	shards    []*shardClient
+	opts      ClusterOptions
+	logger    *slog.Logger
+	retries   int
+	retryBase time.Duration
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -98,8 +97,6 @@ type Cluster struct {
 	// Cluster telemetry: the sparker_cluster_* metric families.
 	fanouts         obs.Counter // scatter-gather queries served
 	degradedFanouts obs.Counter // queries answered with >=1 shard missing
-	degraded        obs.Counter // queries served at a non-zero ladder level
-	truncated       obs.Counter // merged answers with a tripped budget
 	mergeNanos      obs.Histogram
 	stageNanos      [index.NumStages]obs.Histogram // aggregated shard stage timings
 }
@@ -138,20 +135,14 @@ func NewCluster(shardURLs []string, opts ClusterOptions) (*Cluster, error) {
 		client = &http.Client{}
 	}
 	c := &Cluster{
-		opts:       opts,
-		logger:     opts.Logger,
-		gate:       newAdmission(opts.MaxInFlight, opts.ShedWait),
-		maxBody:    opts.MaxBodyBytes,
-		retryAfter: retryAfterSeconds(opts.ShedWait),
-		retries:    opts.ShardRetries,
-		retryBase:  opts.RetryBase,
-		stop:       make(chan struct{}),
+		opts:      opts,
+		logger:    opts.Logger,
+		retries:   opts.ShardRetries,
+		retryBase: opts.RetryBase,
+		stop:      make(chan struct{}),
 	}
 	if c.logger == nil {
 		c.logger = slog.Default()
-	}
-	if c.maxBody <= 0 {
-		c.maxBody = DefaultMaxBodyBytes
 	}
 	if c.retries == 0 {
 		c.retries = 1
@@ -165,29 +156,19 @@ func NewCluster(shardURLs []string, opts ClusterOptions) (*Cluster, error) {
 		if err := ValidateLeaderURL(u); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		c.shards = append(c.shards, &shardClient{url: trimSlash(u), client: client})
+		c.shards = append(c.shards, &shardClient{url: strings.TrimRight(u, "/"), client: client})
 	}
-	c.router.init()
-	c.handle("/v1/query", c.gate.gated(c.retryAfter, c.query), "/query")
-	c.handle("/v1/upsert", c.gate.gated(c.retryAfter, c.upsert), "/upsert")
-	c.handle("/v1/bulk", c.gate.gated(c.retryAfter, c.bulk), "/bulk")
-	c.handle("/v1/stats", c.stats, "/stats")
-	c.handle("/healthz", c.healthz)
-	c.handle("/readyz", c.readyz)
-	if !opts.NoMetrics {
-		c.handle("/metrics", c.metrics)
-	}
+	c.init(c, frontConfig{
+		maxInFlight:   opts.MaxInFlight,
+		shedWait:      opts.ShedWait,
+		defaultBudget: opts.DefaultBudget,
+		maxBody:       opts.MaxBodyBytes,
+		noMetrics:     opts.NoMetrics,
+	})
 	c.probeAll()
 	c.probeWG.Add(1)
 	go c.probeLoop()
 	return c, nil
-}
-
-func trimSlash(u string) string {
-	for len(u) > 0 && u[len(u)-1] == '/' {
-		u = u[:len(u)-1]
-	}
-	return u
 }
 
 // Close stops the background health prober. The handler keeps
@@ -335,83 +316,21 @@ type clusterQueryResponse struct {
 	Cluster  clusterInfoJSON `json:"cluster"`
 }
 
-// degradeParams is the coordinator-side degradation ladder: the same
-// schedule as degrade() applied to the forwardable knobs instead of
-// resolve options, so pressure at the coordinator tightens what the
-// shards are asked to do.
-func degradeParams(p *QueryParams, level int) {
-	if level <= 0 {
-		return
-	}
-	budget := time.Duration(p.BudgetMS * float64(time.Millisecond))
-	if !p.BudgetSet || budget == 0 || budget > degradedBudgetCap {
-		budget = degradedBudgetCap
-	}
-	budget >>= uint(level - 1)
-	if budget < degradedBudgetFloor {
-		budget = degradedBudgetFloor
-	}
-	p.BudgetMS = float64(budget) / float64(time.Millisecond)
-	p.BudgetSet = true
-	if lim := degradedMaxComparisons[level]; !p.MaxComparisonsSet || p.MaxComparisons == 0 || p.MaxComparisons > lim {
-		p.MaxComparisons = lim
-		p.MaxComparisonsSet = true
-	}
-	switch {
-	case level >= 3:
-		p.Probe = "off"
-	case level >= 2 && p.Probe == "union":
-		p.Probe = "fallback"
-	}
-}
-
-// readBody slurps a bounded request body (POST only).
-func (c *Cluster) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		methodError(w, http.MethodPost)
-		return nil, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, c.maxBody)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes (split the upload or raise -max-body)", tooBig.Limit))
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return nil, false
-	}
-	return body, true
-}
+// prepare folds nothing in: probe knobs and defaults are validated and
+// applied by each shard against its own index.
+func (c *Cluster) prepare(*QueryParams) error { return nil }
 
 // query scatter-gathers one profile across every shard and merges the
 // ranked partials. Shard failures degrade the answer; only a total
 // failure is a 503.
-func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	level := admissionLevel(r)
-	degradeParams(&params, level)
-
-	// The forwarded knobs: the client's (post-ladder), with the budget
-	// split for the parallel fan-out and debug forced on so the
-	// coordinator can aggregate per-shard stage timings. The client's
-	// own debug choice governs the response, not the wire.
+func (c *Cluster) query(ctx context.Context, body []byte, params QueryParams, level int) (queryResult, error) {
+	// The forwarded knobs: the client's after the default budget and
+	// the ladder, with the budget split for the parallel fan-out and
+	// debug forced on so the coordinator can aggregate per-shard stage
+	// timings. The client's own debug choice governs the response, not
+	// the wire.
 	fwd := params
-	if !fwd.BudgetSet && c.opts.DefaultBudget > 0 {
-		fwd.BudgetMS = float64(c.opts.DefaultBudget) / float64(time.Millisecond)
-		fwd.BudgetSet = true
-	}
-	if fwd.BudgetSet && fwd.BudgetMS > 0 {
+	if fwd.BudgetMS > 0 {
 		fwd.BudgetMS *= shardBudgetFraction
 	}
 	fwd.Debug = true
@@ -427,7 +346,7 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, s *shardClient) {
 			defer wg.Done()
-			resp, err := s.do(r.Context(), http.MethodPost, pathAndQuery, body, c.retries, c.retryBase)
+			resp, err := s.do(ctx, http.MethodPost, pathAndQuery, body, c.retries, c.retryBase)
 			if err == nil && resp.StatusCode != http.StatusOK {
 				err = fmt.Errorf("shard %s: %s", s.url, httpStatusError(resp))
 				resp.Body.Close()
@@ -457,9 +376,8 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
 
 	responded := len(c.shards) - len(failed)
 	if responded == 0 {
-		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
+		return queryResult{}, newAPIError(http.StatusServiceUnavailable, ErrCodeUnavailable,
 			fmt.Errorf("no shard answered (%d configured)", len(c.shards)))
-		return
 	}
 
 	start := obs.Now()
@@ -469,12 +387,6 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
 
 	if len(failed) > 0 {
 		c.degradedFanouts.Inc()
-	}
-	if level > 0 {
-		c.degraded.Inc()
-	}
-	if merged.Truncated {
-		c.truncated.Inc()
 	}
 	resp := clusterQueryResponse{
 		Partial: *merged,
@@ -496,7 +408,7 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
 	if params.Debug {
 		resp.Debug = mergeDebug(debugs)
 	}
-	writeJSON(w, resp)
+	return queryResult{body: resp, truncated: merged.Truncated, comparisons: merged.Comparisons}, nil
 }
 
 // observeStages feeds each responding shard's per-stage timings into
@@ -588,61 +500,50 @@ type clusterUpsertResponse struct {
 	Shard   int  `json:"shard"`
 }
 
-// relayShardError forwards a shard's error response verbatim: the
-// shard already speaks the /v1 envelope, so its 4xx (read-only, bad
-// profile, unclean source) passes through untranslated.
-func relayShardError(w http.ResponseWriter, resp *http.Response) {
+// shardError turns a shard's error response into the coordinator's
+// answer: the shard already speaks the /v1 envelope, so its status and
+// code (read-only, bad profile, unclean source, shed) pass through.
+func shardError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	e := &APIError{status: resp.StatusCode}
+	if json.Unmarshal(body, e) != nil || e.Err.Code == "" {
+		e.Err = APIErrorDetail{Code: ErrCodeBadRequest, Message: fmt.Sprintf("shard answered %s", resp.Status)}
+		if resp.StatusCode >= 500 {
+			e.Err.Code = ErrCodeUnavailable
+		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(body)
+	return e
 }
 
 // upsert routes one profile to its hash-designated shard, forwarding
 // the record bytes untouched.
-func (c *Cluster) upsert(w http.ResponseWriter, r *http.Request) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
+func (c *Cluster) upsert(ctx context.Context, body []byte, params QueryParams) (any, error) {
 	ids, raws, err := decodeRecords(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 	if len(ids) != 1 {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("expected one profile, got %d", len(ids)))
-		return
+		return nil, badRequest(fmt.Errorf("expected one profile, got %d", len(ids)))
 	}
 	shard := ShardFor(ids[0], len(c.shards))
 	s := c.shards[shard]
-	resp, err := s.do(r.Context(), http.MethodPost, "/v1/upsert?"+params.Encode(), raws[0], c.retries, c.retryBase)
+	resp, err := s.do(ctx, http.MethodPost, "/v1/upsert?"+params.Encode(), raws[0], c.retries, c.retryBase)
 	if err != nil {
 		s.fail(err)
-		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
+		return nil, newAPIError(http.StatusServiceUnavailable, ErrCodeUnavailable,
 			fmt.Errorf("shard %s unreachable: %v", s.url, err))
-		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		s.fail(fmt.Errorf("upsert: %s", resp.Status))
-		relayShardError(w, resp)
-		return
+		return nil, shardError(resp)
 	}
 	var ack upsertResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		s.fail(err)
-		httpError(w, http.StatusInternalServerError, ErrCodeInternal, fmt.Errorf("shard %s: decode: %w", s.url, err))
-		return
+		return nil, fmt.Errorf("shard %s: decode: %w", s.url, err)
 	}
-	writeJSON(w, clusterUpsertResponse{Created: ack.Created, Shard: shard})
+	return clusterUpsertResponse{Created: ack.Created, Shard: shard}, nil
 }
 
 // clusterBulkResponse acknowledges a scattered bulk load.
@@ -656,20 +557,10 @@ type clusterBulkResponse struct {
 // its hash-designated shard, records grouped into one /v1/bulk call
 // per shard. Any shard failure fails the load (reporting how much was
 // applied) — partial silent success would lose profiles.
-func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
+func (c *Cluster) bulk(ctx context.Context, body []byte, params QueryParams) (any, error) {
 	ids, raws, err := decodeRecords(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
+		return nil, badRequest(err)
 	}
 	groups := make([][]byte, len(c.shards))
 	for i, id := range ids {
@@ -684,7 +575,7 @@ func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
 		upserted int
 		touched  int
 		firstErr error
-		relay    *http.Response
+		shardErr error // the first shard's own error answer
 	)
 	for i, group := range groups {
 		if len(group) == 0 {
@@ -694,7 +585,7 @@ func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(s *shardClient, group []byte) {
 			defer wg.Done()
-			resp, err := s.do(r.Context(), http.MethodPost, qs, group, c.retries, c.retryBase)
+			resp, err := s.do(ctx, http.MethodPost, qs, group, c.retries, c.retryBase)
 			if err != nil {
 				s.fail(err)
 				mu.Lock()
@@ -706,11 +597,11 @@ func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
 			}
 			if resp.StatusCode != http.StatusOK {
 				s.fail(fmt.Errorf("bulk: %s", resp.Status))
+				err := shardError(resp)
+				resp.Body.Close()
 				mu.Lock()
-				if relay == nil && firstErr == nil {
-					relay = resp // consumed by the relay below
-				} else {
-					resp.Body.Close()
+				if shardErr == nil {
+					shardErr = err
 				}
 				mu.Unlock()
 				return
@@ -732,19 +623,13 @@ func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		if relay != nil {
-			relay.Body.Close()
-		}
-		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
+		return nil, newAPIError(http.StatusServiceUnavailable, ErrCodeUnavailable,
 			fmt.Errorf("bulk partially applied (%d upserted): %v", upserted, firstErr))
-		return
 	}
-	if relay != nil {
-		defer relay.Body.Close()
-		relayShardError(w, relay)
-		return
+	if shardErr != nil {
+		return nil, shardErr
 	}
-	writeJSON(w, clusterBulkResponse{Upserted: upserted, Shards: touched})
+	return clusterBulkResponse{Upserted: upserted, Shards: touched}, nil
 }
 
 // shardStatsJSON is one shard's row in the coordinator's /v1/stats.
@@ -758,24 +643,19 @@ type shardStatsJSON struct {
 
 // clusterStatsResponse is the coordinator's /v1/stats body.
 type clusterStatsResponse struct {
-	Shards          []shardStatsJSON   `json:"shards"`
-	Healthy         int                `json:"healthy"`
-	Fanouts         int64              `json:"fanouts"`
-	DegradedFanouts int64              `json:"degraded_fanouts"`
-	HTTP            []routeStatsJSON   `json:"http"`
-	Admission       admissionStatsJSON `json:"admission"`
+	Shards          []shardStatsJSON `json:"shards"`
+	Healthy         int              `json:"healthy"`
+	Fanouts         int64            `json:"fanouts"`
+	DegradedFanouts int64            `json:"degraded_fanouts"`
+	frontStats
 }
 
-func (c *Cluster) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+func (c *Cluster) stats(shared frontStats) any {
 	resp := clusterStatsResponse{
 		Healthy:         c.healthyCount(),
 		Fanouts:         c.fanouts.Load(),
 		DegradedFanouts: c.degradedFanouts.Load(),
-		HTTP:            c.routeStats(),
+		frontStats:      shared,
 	}
 	for _, s := range c.shards {
 		row := shardStatsJSON{
@@ -789,64 +669,27 @@ func (c *Cluster) stats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, row)
 	}
-	resp.Admission = admissionStatsJSON{
-		MaxInFlight: c.gate.capacity(),
-		InFlight:    c.gate.inFlight(),
-		Degraded:    c.degraded.Load(),
-		Truncated:   c.truncated.Load(),
-	}
-	if c.gate != nil {
-		resp.Admission.Waiting = int(c.gate.waiting.Load())
-		resp.Admission.ShedFull = c.gate.shedFull.Load()
-		resp.Admission.ShedTimeout = c.gate.shedTimeout.Load()
-	}
-	writeJSON(w, resp)
+	return resp
 }
 
-func (c *Cluster) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, map[string]any{"status": "ok"})
-}
-
-// readyz: the coordinator is ready while at least one shard is (a
-// degraded cluster still answers) and its own gate is not saturated.
-// With every shard down there is nothing to serve — drain.
-func (c *Cluster) readyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+// ready: the coordinator can answer while at least one shard can (a
+// degraded cluster still answers). With every shard down there is
+// nothing to serve — drain.
+func (c *Cluster) ready() (map[string]any, bool) {
 	healthy := c.healthyCount()
 	if healthy == 0 {
-		writeNotReady(w, c.retryAfter, map[string]any{"status": "no_shards", "shards": len(c.shards)})
-		return
+		return map[string]any{"status": "no_shards", "shards": len(c.shards)}, false
 	}
-	if c.gate.saturated() {
-		writeNotReady(w, c.retryAfter, map[string]any{"status": "shedding", "in_flight": c.gate.inFlight()})
-		return
-	}
-	writeJSON(w, map[string]any{
+	return map[string]any{
 		"status":   "ok",
 		"shards":   len(c.shards),
 		"healthy":  healthy,
 		"degraded": healthy < len(c.shards),
-	})
+	}, true
 }
 
-// metrics serves the coordinator's Prometheus exposition: the
-// sparker_cluster_* families plus the shared admission and HTTP
-// families.
-func (c *Cluster) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	e := obs.NewExpo(w)
-
+// writeMetrics renders the sparker_cluster_* families.
+func (c *Cluster) writeMetrics(e *obs.Expo) {
 	e.Gauge("sparker_cluster_shards", "Configured shard processes.", float64(len(c.shards)))
 	e.Gauge("sparker_cluster_shards_healthy", "Shards whose last /readyz probe answered 200.", float64(c.healthyCount()))
 	e.Counter("sparker_cluster_fanouts_total", "Scatter-gather queries served.", float64(c.fanouts.Load()))
@@ -868,20 +711,4 @@ func (c *Cluster) metrics(w http.ResponseWriter, r *http.Request) {
 			c.stageNanos[s].Snapshot(), 1e-9, obs.Label{Name: "stage", Value: index.Stage(s).String()})
 	}
 	e.Histogram("sparker_cluster_merge_seconds", "Partial-result merge latency at the coordinator.", c.mergeNanos.Snapshot(), 1e-9)
-
-	adm := c.gate
-	e.Gauge("sparker_admission_max_in_flight", "Configured admission gate capacity (0 = admission off).", float64(adm.capacity()))
-	e.Gauge("sparker_admission_in_flight", "Requests currently admitted through the gate.", float64(adm.inFlight()))
-	if adm != nil {
-		e.Gauge("sparker_admission_waiting", "Requests waiting for an admission slot.", float64(adm.waiting.Load()))
-		e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.shedFull.Load()),
-			obs.Label{Name: "reason", Value: "full"})
-		e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.shedTimeout.Load()),
-			obs.Label{Name: "reason", Value: "timeout"})
-	}
-	e.Counter("sparker_queries_degraded_total", "Queries served at a non-zero degradation level.", float64(c.degraded.Load()))
-	e.Counter("sparker_queries_truncated_total", "Merged answers truncated by a per-request budget.", float64(c.truncated.Load()))
-
-	c.writeHTTPMetrics(e)
-	_ = e.Flush()
 }

@@ -1,6 +1,6 @@
 package serve
 
-// Route instrumentation and the Prometheus /metrics endpoint. Every
+// Route instrumentation and the single node's /metrics families. Every
 // handler is wrapped by handle(): request, 4xx and 5xx counters plus a
 // latency histogram per route, recorded with the allocation-free
 // internal/obs primitives. /metrics renders those counters together
@@ -44,24 +44,24 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
-// router is the instrumented route table shared by the single-node
-// Handler and the cluster Coordinator: one mux, one routeMetrics row
-// per canonical route. Aliases (the legacy unversioned paths) dispatch
-// to the same handler and count into the same row, labelled by the
-// canonical /v1 path — an operator's dashboards see one route however
-// clients spell it.
+// router is the instrumented route table of the front end: one mux, one
+// routeMetrics row per route. A path outside the table answers the
+// typed not_found envelope.
 type router struct {
 	mux    *http.ServeMux
 	routes []*routeMetrics
 }
 
-func (rt *router) init() { rt.mux = http.NewServeMux() }
+func (rt *router) init() {
+	rt.mux = http.NewServeMux()
+	rt.mux.HandleFunc("/", notFound)
+}
 
 // ServeHTTP dispatches to the instrumented routes.
 func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// handle registers an instrumented route on the mux, plus any aliases.
-func (rt *router) handle(route string, fn http.HandlerFunc, aliases ...string) {
+// handle registers an instrumented route on the mux.
+func (rt *router) handle(route string, fn http.HandlerFunc) {
 	rm := &routeMetrics{route: route}
 	rt.routes = append(rt.routes, rm)
 	instrumented := func(w http.ResponseWriter, r *http.Request) {
@@ -82,12 +82,9 @@ func (rt *router) handle(route string, fn http.HandlerFunc, aliases ...string) {
 		rm.latency.Observe(obs.Now() - start)
 	}
 	rt.mux.HandleFunc(route, instrumented)
-	for _, alias := range aliases {
-		rt.mux.HandleFunc(alias, instrumented)
-	}
 }
 
-// routeStatsJSON is one route's counters on the /stats surface — the
+// routeStatsJSON is one route's counters on the /v1/stats surface — the
 // JSON digest of what /metrics exposes as Prometheus families.
 type routeStatsJSON struct {
 	Route     string  `json:"route"`
@@ -114,41 +111,6 @@ func (rt *router) routeStats() []routeStatsJSON {
 	return out
 }
 
-// admissionStatsJSON is the /stats digest of the admission gate and
-// the budget/degradation counters — what an operator reads to tell
-// "loaded but coping" (degraded/truncated climbing) from "refusing
-// work" (shed counters climbing).
-type admissionStatsJSON struct {
-	// MaxInFlight is the configured gate capacity (0 = admission off).
-	MaxInFlight int `json:"max_inflight"`
-	InFlight    int `json:"in_flight"`
-	Waiting     int `json:"waiting"`
-	// ShedFull counts requests shed immediately (429, no wait
-	// configured); ShedTimeout counts requests shed after the bounded
-	// wait expired or the client gave up (503).
-	ShedFull    int64 `json:"shed_full"`
-	ShedTimeout int64 `json:"shed_timeout"`
-	// Degraded counts queries served at a non-zero ladder level and
-	// Truncated responses whose budget tripped mid-resolution.
-	Degraded  int64 `json:"degraded_queries"`
-	Truncated int64 `json:"truncated_queries"`
-}
-
-func (h *Handler) admissionStats() admissionStatsJSON {
-	s := admissionStatsJSON{
-		MaxInFlight: h.gate.capacity(),
-		InFlight:    h.gate.inFlight(),
-		Degraded:    h.degraded.Load(),
-		Truncated:   h.truncated.Load(),
-	}
-	if h.gate != nil {
-		s.Waiting = int(h.gate.waiting.Load())
-		s.ShedFull = h.gate.shedFull.Load()
-		s.ShedTimeout = h.gate.shedTimeout.Load()
-	}
-	return s
-}
-
 // writeHTTPMetrics renders the per-route HTTP families. Families must
 // be contiguous in the exposition: each family is emitted across all
 // routes before moving to the next.
@@ -169,16 +131,10 @@ func (rt *router) writeHTTPMetrics(e *obs.Expo) {
 	}
 }
 
-// metrics serves GET /metrics: the Prometheus text exposition of the
-// index and HTTP telemetry.
-func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	e := obs.NewExpo(w)
-
+// writeMetrics renders the single node's own /metrics families: the
+// index, its op log, WAL and LSH, per-stage query timings and, on a
+// following replica, replication.
+func (h *Handler) writeMetrics(e *obs.Expo) {
 	x := h.Index()
 	snap := x.Snapshot()
 	e.Gauge("sparker_index_profiles", "Indexed profiles.", float64(snap.Profiles))
@@ -193,7 +149,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	if snap.OpLog != nil {
 		e.Gauge("sparker_oplog_ops", "Op frames retained in the in-memory op log.", float64(snap.OpLog.Ops))
 		e.Gauge("sparker_oplog_bytes", "Bytes retained in the in-memory op log.", float64(snap.OpLog.Bytes))
-		e.Gauge("sparker_oplog_floor_seq", "Oldest sequence number still served by /deltas.", float64(snap.OpLog.FloorSeq))
+		e.Gauge("sparker_oplog_floor_seq", "Oldest sequence number still served by /v1/deltas.", float64(snap.OpLog.FloorSeq))
 		e.Counter("sparker_oplog_appended_total", "Op frames appended to the op log since construction.", float64(snap.OpLog.Appended))
 	}
 
@@ -245,24 +201,6 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		e.Counter("sparker_replication_resyncs_total", "Full re-bootstraps after falling off the leader's op-log window.", float64(rs.Resyncs))
 		e.Counter("sparker_replication_errors_total", "Failed delta polls (network, decode or apply errors).", float64(rs.Errors))
 	}
-
-	// Admission gate and budget/degradation telemetry: the overload
-	// dashboards alert on shed and degraded rates long before latency
-	// histograms drift.
-	adm := h.admissionStats()
-	e.Gauge("sparker_admission_max_in_flight", "Configured admission gate capacity (0 = admission off).", float64(adm.MaxInFlight))
-	e.Gauge("sparker_admission_in_flight", "Requests currently admitted through the gate.", float64(adm.InFlight))
-	e.Gauge("sparker_admission_waiting", "Requests waiting for an admission slot.", float64(adm.Waiting))
-	e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.ShedFull),
-		obs.Label{Name: "reason", Value: "full"})
-	e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.ShedTimeout),
-		obs.Label{Name: "reason", Value: "timeout"})
-	e.Counter("sparker_queries_degraded_total", "Queries served at a non-zero degradation level.", float64(adm.Degraded))
-	e.Counter("sparker_queries_truncated_total", "Query responses truncated by a per-request budget.", float64(adm.Truncated))
-	e.Histogram("sparker_query_budget_spent_comparisons", "Comparisons spent per budgeted query.", h.budgetSpent.Snapshot(), 1)
-
-	h.writeHTTPMetrics(e)
-	_ = e.Flush()
 }
 
 func boolGauge(b bool) float64 {

@@ -68,9 +68,9 @@ func decodeQuery(t *testing.T, resp *http.Response) queryResponse {
 
 func getStats(t *testing.T, client *http.Client, base string) statsResponse {
 	t.Helper()
-	resp, err := client.Get(base + "/stats")
+	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
+		t.Fatalf("GET /v1/stats: %v", err)
 	}
 	defer resp.Body.Close()
 	var st statsResponse
@@ -108,13 +108,13 @@ func TestAdmissionShedImmediate(t *testing.T) {
 
 	firstDone := make(chan int, 1)
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		firstDone <- resp.StatusCode
 	}()
 	<-entered // the first query is parked inside scoring, slot held
 
-	resp := postQuery(t, client, srv.URL+"/query")
+	resp := postQuery(t, client, srv.URL+"/v1/query")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second query status = %d, want 429", resp.StatusCode)
 	}
@@ -174,14 +174,14 @@ func TestAdmissionBoundedWaitShed(t *testing.T) {
 
 	firstDone := make(chan struct{})
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		close(firstDone)
 	}()
 	<-entered
 
 	start := time.Now()
-	resp := postQuery(t, client, srv.URL+"/query")
+	resp := postQuery(t, client, srv.URL+"/v1/query")
 	waited := time.Since(start)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -214,13 +214,13 @@ func TestDegradedQueryMarker(t *testing.T) {
 
 	firstDone := make(chan struct{})
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		close(firstDone)
 	}()
 	<-entered // one of two slots held: the next arrival finds occupancy 1/2
 
-	resp := postQuery(t, client, srv.URL+"/query")
+	resp := postQuery(t, client, srv.URL+"/v1/query")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded query status = %d, want 200", resp.StatusCode)
 	}
@@ -267,7 +267,7 @@ func TestOverloadBoundedNoLeak(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	defer client.CloseIdleConnections()
 
-	postQuery(t, client, srv.URL+"/query").Body.Close() // warm-up
+	postQuery(t, client, srv.URL+"/v1/query").Body.Close() // warm-up
 	baseline := runtime.NumGoroutine()
 
 	const drivers = 16
@@ -279,7 +279,7 @@ func TestOverloadBoundedNoLeak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perDriver; j++ {
-				resp, err := client.Post(srv.URL+"/query", "application/json", strings.NewReader(queryBody))
+				resp, err := client.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(queryBody))
 				if err != nil {
 					statuses <- -1
 					continue
@@ -334,9 +334,9 @@ func TestBodyLimit413(t *testing.T) {
 	client := srv.Client()
 
 	big := fmt.Sprintf(`{"id":"huge","name":%q}`, strings.Repeat("x", 512))
-	resp, err := client.Post(srv.URL+"/upsert", "application/json", strings.NewReader(big))
+	resp, err := client.Post(srv.URL+"/v1/upsert", "application/json", strings.NewReader(big))
 	if err != nil {
-		t.Fatalf("POST /upsert: %v", err)
+		t.Fatalf("POST /v1/upsert: %v", err)
 	}
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upsert status = %d, want 413", resp.StatusCode)
@@ -350,10 +350,10 @@ func TestBodyLimit413(t *testing.T) {
 		t.Fatalf("413 error = %+v, want %q naming the configured limit", body.Err, ErrCodePayloadTooLarge)
 	}
 
-	resp, err = client.Post(srv.URL+"/upsert", "application/json",
+	resp, err = client.Post(srv.URL+"/v1/upsert", "application/json",
 		bytes.NewReader([]byte(`{"id":"ok","name":"tok0 small"}`)))
 	if err != nil {
-		t.Fatalf("POST small /upsert: %v", err)
+		t.Fatalf("POST small /v1/upsert: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -405,7 +405,7 @@ func TestQueryBudgetKnobBadValues(t *testing.T) {
 		"budget_ms=nope", "budget_ms=-1",
 		"max_comparisons=x", "max_comparisons=-2",
 	} {
-		resp := postQuery(t, client, srv.URL+"/query?"+q)
+		resp := postQuery(t, client, srv.URL+"/v1/query?"+q)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("?%s status = %d, want 400", q, resp.StatusCode)
@@ -422,7 +422,7 @@ func TestQueryMaxComparisonsTruncates(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	full := decodeQuery(t, postQuery(t, client, srv.URL+"/query"))
+	full := decodeQuery(t, postQuery(t, client, srv.URL+"/v1/query"))
 	if full.Truncated || full.TruncatedStage != "" {
 		t.Fatalf("unlimited query marked truncated: %+v", full)
 	}
@@ -430,7 +430,7 @@ func TestQueryMaxComparisonsTruncates(t *testing.T) {
 		t.Fatalf("unlimited query scored %d candidates, need >= 2 for the truncation test", full.Comparisons)
 	}
 
-	capped := decodeQuery(t, postQuery(t, client, srv.URL+"/query?max_comparisons=1"))
+	capped := decodeQuery(t, postQuery(t, client, srv.URL+"/v1/query?max_comparisons=1"))
 	if !capped.Truncated || capped.TruncatedStage != "score" {
 		t.Fatalf("capped query truncated=%v stage=%q, want true/score", capped.Truncated, capped.TruncatedStage)
 	}

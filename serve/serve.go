@@ -2,16 +2,20 @@
 // behind the sparker-serve command. It lives outside the root sparker
 // package and outside internal/index so that batch-only consumers of the
 // library do not link the HTTP stack.
+//
+// One front end (front.go) serves two backends: Handler, a single node
+// over a local index, and Cluster, a coordinator fanning out to shard
+// processes. Both speak the same /v1 API through the same route table,
+// admission gate, degradation ladder, body reader and JSON writer.
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -21,57 +25,53 @@ import (
 	"sparker/internal/profile"
 )
 
-// DefaultMaxBodyBytes caps /query, /upsert and /bulk request bodies
-// when Options.MaxBodyBytes is zero: large enough for generous bulk
-// loads, small enough that one request can never balloon the heap.
-const DefaultMaxBodyBytes int64 = 32 << 20
-
 // Options configures the optional persistence, observability and
 // admission-control surfaces of the handler.
 type Options struct {
-	// SnapshotPath enables POST /snapshot/save: each call writes a
+	// SnapshotPath enables POST /v1/snapshot/save: each call writes a
 	// durable snapshot of the index there (atomically). Empty disables
 	// the endpoint.
 	SnapshotPath string
 	// Logger receives the slow-query log (structured, slog). Nil uses
 	// slog.Default().
 	Logger *slog.Logger
-	// SlowQuery logs any /query resolution taking at least this long,
-	// with its per-stage timing breakdown — the first question to ask of
-	// a slow resolver is which stage ate the time. Zero disables the
-	// slow-query log.
+	// SlowQuery logs any /v1/query resolution taking at least this
+	// long, with its per-stage timing breakdown — the first question to
+	// ask of a slow resolver is which stage ate the time. Zero disables
+	// the slow-query log.
 	SlowQuery time.Duration
 	// NoMetrics disables GET /metrics (enabled by default).
 	NoMetrics bool
 
 	// MaxInFlight caps concurrently served requests on the resolution
-	// routes (/query, /upsert, /bulk). Beyond the cap, requests wait at
-	// most ShedWait and are then shed with 429/503 + Retry-After
-	// instead of queueing; admitted queries degrade by gate occupancy
-	// (see admission.go). Zero disables admission control entirely.
+	// routes (/v1/query, /v1/upsert, /v1/bulk). Beyond the cap,
+	// requests wait at most ShedWait and are then shed with 429/503 +
+	// Retry-After instead of queueing; admitted queries degrade by gate
+	// occupancy (see admission.go). Zero disables admission control
+	// entirely.
 	MaxInFlight int
 	// ShedWait bounds how long an over-limit request waits for a slot
 	// (also bounded by the request's own context). Zero sheds
 	// immediately with 429; with a wait, expiry sheds with 503.
 	ShedWait time.Duration
-	// DefaultBudget is the wall-clock budget applied to /query requests
-	// that do not carry ?budget_ms= themselves. Zero means unlimited
-	// (until the degradation ladder imposes one under pressure).
+	// DefaultBudget is the wall-clock budget applied to /v1/query
+	// requests that do not carry ?budget_ms= themselves. Zero means
+	// unlimited (until the degradation ladder imposes one under
+	// pressure).
 	DefaultBudget time.Duration
-	// MaxBodyBytes caps request bodies on /query, /upsert and /bulk
-	// (413 beyond it). Zero uses DefaultMaxBodyBytes.
+	// MaxBodyBytes caps request bodies on /v1/query, /v1/upsert and
+	// /v1/bulk (413 beyond it). Zero uses DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
 	// Follower, when non-nil, is the replication loop feeding this
 	// handler's index from a leader (see replication.go). The handler
-	// reports its lag in /stats and /metrics, and /readyz holds the
+	// reports its lag in /v1/stats and /metrics, and /readyz holds the
 	// replica out of rotation until the follower has bootstrapped.
 	Follower *Follower
 }
 
-// NewHandler serves an index over HTTP. Every route lives under the
-// versioned /v1/ prefix with the historical unversioned path kept as
-// an alias (same handler, same counters):
+// NewHandler serves an index over HTTP. Every API route lives under
+// the versioned /v1/ prefix:
 //
 //	POST /v1/query         — body: one JSON profile {"id": "...",
 //	                      "attr": "value"}; ranks candidates and scores
@@ -100,6 +100,14 @@ type Options struct {
 //	                      read-only mode, durable-snapshot metadata,
 //	                      per-stage timing digests, per-route HTTP
 //	                      counters and admission/budget accounting.
+//	GET  /v1/deltas        — replication feed: the op frames applied
+//	                      after ?since=<seq>, long-polling up to
+//	                      ?wait_ms= when caught up (see
+//	                      replication.go). Needs an op-log-enabled
+//	                      index.
+//	GET  /v1/snapshot      — streams a full binary snapshot of the
+//	                      index, the follower bootstrap (and resync)
+//	                      source.
 //	GET  /metrics       — Prometheus text exposition of the same
 //	                      telemetry (per-stage latency histograms,
 //	                      request/error counters, LSH probe rates,
@@ -111,17 +119,11 @@ type Options struct {
 //	                      read-only replica that has not yet loaded a
 //	                      snapshot (or applied a delta) answers 503 so
 //	                      traffic never routes to an empty follower.
-//	GET  /v1/deltas        — replication feed: the op frames applied
-//	                      after ?since=<seq>, long-polling up to
-//	                      ?wait_ms= when caught up (see
-//	                      replication.go). Needs an op-log-enabled
-//	                      index.
-//	GET  /v1/snapshot      — streams a full binary snapshot of the
-//	                      index, the follower bootstrap (and resync)
-//	                      source.
 //
 // /metrics, /healthz and /readyz stay unversioned: they are operator
-// conventions (scrapers and load balancers), not API surfaces.
+// conventions (scrapers and load balancers), not API surfaces. Any
+// other path — the pre-/v1 unversioned /query, /upsert, /stats and
+// friends included — answers 404 with the not_found envelope.
 //
 // Every 4xx/5xx response carries the typed JSON error envelope
 // {"error": {"code", "message", "retry_after_seconds?"}} — see
@@ -135,11 +137,10 @@ type Options struct {
 // those routes are bounded by Options.MaxBodyBytes (413 beyond it).
 //
 // Every route is instrumented: request, 4xx and 5xx counters plus a
-// latency histogram per route (labelled by the canonical /v1 path,
-// aliases included), surfaced by both /v1/stats and /metrics. Upserts
-// against a read-only replica fail with 403. Profiles use the loader's
-// JSON-lines wire format; the "id" field is the original identifier,
-// every other field an attribute.
+// latency histogram per route, surfaced by both /v1/stats and
+// /metrics. Upserts against a read-only replica fail with 403.
+// Profiles use the loader's JSON-lines wire format; the "id" field is
+// the original identifier, every other field an attribute.
 func NewHandler(x *index.Index) *Handler { return NewHandlerOptions(x, Options{}) }
 
 // NewHandlerOptions is NewHandler with the persistence, observability,
@@ -150,51 +151,31 @@ func NewHandlerOptions(x *index.Index, opts Options) *Handler {
 	if h.logger == nil {
 		h.logger = slog.Default()
 	}
-	h.gate = newAdmission(opts.MaxInFlight, opts.ShedWait)
-	h.maxBody = opts.MaxBodyBytes
-	if h.maxBody <= 0 {
-		h.maxBody = DefaultMaxBodyBytes
-	}
-	h.retryAfter = retryAfterSeconds(opts.ShedWait)
-	h.router.init()
-	h.handle("/v1/query", h.gated(h.query), "/query")
-	h.handle("/v1/upsert", h.gated(h.upsert), "/upsert")
-	h.handle("/v1/bulk", h.gated(h.bulk), "/bulk")
-	h.handle("/v1/snapshot/save", h.snapshotSave, "/snapshot/save")
-	h.handle("/v1/snapshot", h.snapshotStream, "/snapshot")
-	h.handle("/v1/deltas", h.deltas, "/deltas")
-	h.handle("/v1/stats", h.stats, "/stats")
-	h.handle("/healthz", h.healthz)
-	h.handle("/readyz", h.readyz)
-	if !opts.NoMetrics {
-		h.handle("/metrics", h.metrics)
-	}
+	h.init(h, frontConfig{
+		maxInFlight:   opts.MaxInFlight,
+		shedWait:      opts.ShedWait,
+		defaultBudget: opts.DefaultBudget,
+		maxBody:       opts.MaxBodyBytes,
+		noMetrics:     opts.NoMetrics,
+	})
+	h.handle("/v1/snapshot/save", only(http.MethodPost, h.snapshotSave))
+	h.handle("/v1/snapshot", only(http.MethodGet, h.snapshotStream))
+	h.handle("/v1/deltas", only(http.MethodGet, h.deltas))
 	return h
 }
 
-// Handler serves an index over HTTP (see NewHandler for the routes). It
-// holds the index behind an atomic pointer so a follower resync can
-// swap in a freshly bootstrapped index without a lock on the request
-// path: each request pins one index for its whole duration and the old
-// one drains naturally.
+// Handler serves an index over HTTP (see NewHandler for the routes):
+// the front end over the local backend. It holds the index behind an
+// atomic pointer so a follower resync can swap in a freshly
+// bootstrapped index without a lock on the request path: each request
+// pins one index for its whole duration and the old one drains
+// naturally.
 type Handler struct {
-	router
+	frontEnd
 	idx      atomic.Pointer[index.Index]
 	opts     Options
 	logger   *slog.Logger
-	gate     *admission
-	maxBody  int64
 	follower *Follower
-	// retryAfter is the Retry-After value (whole seconds) of every shed
-	// and not-ready response, derived from Options.ShedWait: a client
-	// told to come back should wait at least as long as the server
-	// itself would have let it wait for a slot.
-	retryAfter int64
-
-	// Budget/degradation accounting, exposed by /stats and /metrics.
-	degraded    obs.Counter   // queries served at a non-zero ladder level
-	truncated   obs.Counter   // responses whose budget tripped
-	budgetSpent obs.Histogram // comparisons spent per budgeted query
 }
 
 // Index returns the handler's current index.
@@ -204,190 +185,87 @@ func (h *Handler) Index() *index.Index { return h.idx.Load() }
 // path: in-flight requests finish on the index they started with.
 func (h *Handler) SetIndex(x *index.Index) { h.idx.Store(x) }
 
-// retryAfterSeconds renders a shed wait as a whole-second Retry-After
-// value, rounding up so clients never come back before a slot could
-// have opened; the floor of 1 keeps the header meaningful when no wait
-// is configured.
-func retryAfterSeconds(wait time.Duration) int64 {
-	secs := int64(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// errOverloaded is the shed response body: what a client sees when the
-// admission gate refuses its request.
-var errOverloaded = errors.New("server overloaded, retry later")
-
-// gated wraps a handler behind the admission gate: over-limit requests
-// shed with 429/503 + Retry-After instead of queueing. The admission
-// level rides in the request context for the query handler's
-// degradation ladder.
-func (h *Handler) gated(fn http.HandlerFunc) http.HandlerFunc {
-	return h.gate.gated(h.retryAfter, fn)
-}
-
-// admissionLevelKey carries the degradation level from the gate to the
-// query handler.
-type admissionLevelKey struct{}
-
-func admissionLevel(r *http.Request) int {
-	level, _ := r.Context().Value(admissionLevelKey{}).(int)
-	return level
-}
-
-func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	params, ok := h.readParams(w, r)
-	if !ok {
-		return
-	}
-	p, ok := h.readOneProfile(w, r, params)
-	if !ok {
-		return
-	}
+// prepare validates the probe knobs against the index (explicitly
+// requesting a probe on an index without LSH is a client error, not a
+// silent no-op) and folds the index's probe policy in, so the ladder
+// downgrades the policy the query would really run.
+func (h *Handler) prepare(p *QueryParams) error {
 	x := h.Index()
-	opts, budget, err := params.resolveOptions(x, h.opts.DefaultBudget)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
+	if !x.LSHEnabled() {
+		if p.Probe != "" && p.Probe != index.ProbeOff.String() {
+			return fmt.Errorf("probe=%s needs an LSH-enabled index (start sparker-serve with -lsh)", p.Probe)
+		}
+		if p.ProbeFloor > 0 {
+			return fmt.Errorf("probe_floor needs an LSH-enabled index (start sparker-serve with -lsh)")
+		}
 	}
-	// The degradation ladder: under gate pressure, tighten the budget
-	// (imposing one if the request carried none) and cheapen the probe
-	// policy — cheaper truncated answers instead of queueing delay.
-	level := admissionLevel(r)
-	budget = degrade(&opts, level, budget)
-	if budget > 0 {
-		opts.Budget.Deadline = index.DeadlineIn(budget)
+	if p.Probe == "" {
+		p.Probe = x.ProbePolicy().String()
 	}
-	budgeted := budget > 0 || opts.Budget.MaxComparisons > 0
+	return nil
+}
 
+func (h *Handler) query(_ context.Context, body []byte, params QueryParams, level int) (queryResult, error) {
+	x := h.Index()
+	p, err := oneProfile(x, body, params)
+	if err != nil {
+		return queryResult{}, err
+	}
 	start := obs.Now()
-	res := x.ResolveWithOptions(p, opts)
+	res := x.ResolveWithOptions(p, params.resolveOptions())
 	elapsed := obs.Now() - start
 	if h.opts.SlowQuery > 0 && elapsed >= int64(h.opts.SlowQuery) {
 		h.logSlowQuery(p, res, elapsed)
-	}
-	if level > 0 {
-		h.degraded.Inc()
-	}
-	if res.Query.Truncated {
-		h.truncated.Inc()
-	}
-	if budgeted {
-		h.budgetSpent.Observe(int64(res.Comparisons))
 	}
 	resp := newQueryResponse(x, res)
 	resp.Degraded = level
 	if params.Debug {
 		resp.Debug = newDebugJSON(res)
 	}
-	writeJSON(w, resp)
+	return queryResult{body: resp, truncated: res.Query.Truncated, comparisons: res.Comparisons}, nil
 }
 
-// readParams decodes the typed request knobs, answering the 400 itself
-// on a malformed knob.
-func (h *Handler) readParams(w http.ResponseWriter, r *http.Request) (QueryParams, bool) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return params, false
-	}
-	return params, true
-}
-
-func (h *Handler) upsert(w http.ResponseWriter, r *http.Request) {
-	params, ok := h.readParams(w, r)
-	if !ok {
-		return
-	}
-	p, ok := h.readOneProfile(w, r, params)
-	if !ok {
-		return
-	}
-	id, created, err := h.Index().Upsert(*p)
-	if err != nil {
-		code, status := upsertErrorStatus(err)
-		httpError(w, status, code, err)
-		return
-	}
-	writeJSON(w, upsertResponse{ID: id, Created: created})
-}
-
-func (h *Handler) bulk(w http.ResponseWriter, r *http.Request) {
-	params, ok := h.readParams(w, r)
-	if !ok {
-		return
-	}
-	ps, ok := h.readProfiles(w, r, params)
-	if !ok {
-		return
-	}
+func (h *Handler) upsert(_ context.Context, body []byte, params QueryParams) (any, error) {
 	x := h.Index()
+	p, err := oneProfile(x, body, params)
+	if err != nil {
+		return nil, err
+	}
+	id, created, err := x.Upsert(*p)
+	if err != nil {
+		return nil, upsertError(err)
+	}
+	return upsertResponse{ID: id, Created: created}, nil
+}
+
+func (h *Handler) bulk(_ context.Context, body []byte, params QueryParams) (any, error) {
+	x := h.Index()
+	ps, err := readProfiles(x, body, params)
+	if err != nil {
+		return nil, err
+	}
 	for _, p := range ps {
 		if _, _, err := x.Upsert(p); err != nil {
-			code, status := upsertErrorStatus(err)
-			httpError(w, status, code, err)
-			return
+			return nil, upsertError(err)
 		}
 	}
-	writeJSON(w, bulkResponse{Upserted: len(ps)})
+	return bulkResponse{Upserted: len(ps)}, nil
 }
 
-// healthz is liveness: the process is up and the handler answers.
-func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, map[string]any{"status": "ok"})
-}
-
-// readyz is readiness: the index holds data and the admission gate is
-// not saturated. A load balancer drains a replica answering 503 here
-// while /healthz keeps it alive — shedding hard is a reason to stop
-// sending traffic, not to restart the process. A read-only replica
-// that has never loaded a snapshot (and whose follower has not
-// bootstrapped) answers "empty" 503: routing traffic to it would serve
-// zero-candidate answers that look like successes.
-func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+// ready holds a read-only replica that has never loaded a snapshot
+// (and whose follower has not bootstrapped) out of rotation as "empty":
+// routing traffic to it would serve zero-candidate answers that look
+// like successes.
+func (h *Handler) ready() (map[string]any, bool) {
 	if x := h.Index(); x.ReadOnly() && !x.Restored() && x.Size() == 0 && (h.follower == nil || !h.follower.Ready()) {
-		h.notReady(w, map[string]any{"status": "empty", "read_only": true})
-		return
+		return map[string]any{"status": "empty", "read_only": true}, false
 	}
-	if h.gate.saturated() {
-		h.notReady(w, map[string]any{"status": "shedding", "in_flight": h.gate.inFlight()})
-		return
-	}
-	writeJSON(w, map[string]any{"status": "ok"})
-}
-
-// notReady writes the /readyz 503 with the same Retry-After a shed
-// response carries. The body stays status-shaped (not the error
-// envelope): readiness probes report state, they do not fail requests.
-func (h *Handler) notReady(w http.ResponseWriter, body map[string]any) {
-	writeNotReady(w, h.retryAfter, body)
-}
-
-// writeNotReady is the shared /readyz 503 writer (Handler and Cluster).
-func writeNotReady(w http.ResponseWriter, retryAfterSecs int64, body map[string]any) {
-	w.Header().Set("Retry-After", strconv.FormatInt(retryAfterSecs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(body)
+	return map[string]any{"status": "ok"}, true
 }
 
 func (h *Handler) snapshotSave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodError(w, http.MethodPost)
-		return
-	}
 	if h.opts.SnapshotPath == "" {
-		httpError(w, http.StatusNotFound, ErrCodeNotFound, fmt.Errorf("no snapshot path configured (start sparker-serve with -snapshot)"))
+		writeError(w, newAPIError(http.StatusNotFound, ErrCodeNotFound, fmt.Errorf("no snapshot path configured (start sparker-serve with -snapshot)")))
 		return
 	}
 	// A replica consumes the snapshot file, never produces it — a
@@ -396,43 +274,39 @@ func (h *Handler) snapshotSave(w http.ResponseWriter, r *http.Request) {
 	// embedders of the handler get the same invariant.
 	x := h.Index()
 	if x.ReadOnly() {
-		httpError(w, http.StatusForbidden, ErrCodeReadOnly, fmt.Errorf("read-only replica does not write snapshots"))
+		writeError(w, newAPIError(http.StatusForbidden, ErrCodeReadOnly, fmt.Errorf("read-only replica does not write snapshots")))
 		return
 	}
 	start := time.Now()
 	st, err := x.Save(h.opts.SnapshotPath)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, ErrCodeInternal, err)
+		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{
+	writeJSON(w, http.StatusOK, map[string]any{
 		"path":       st.Path,
 		"bytes":      st.Bytes,
 		"elapsed_ms": float64(time.Since(start)) / float64(time.Millisecond),
 	})
 }
 
-// statsResponse is the /stats body: the index snapshot (its fields
-// inline, exactly the pre-observability shape) plus the per-route HTTP
-// counters and admission/budget accounting the serving layer owns.
+// statsResponse is the single node's /v1/stats body: the index
+// snapshot (its fields inline, exactly the pre-observability shape)
+// plus the front end's per-route HTTP counters and admission/budget
+// accounting.
 type statsResponse struct {
 	index.Snapshot
-	HTTP        []routeStatsJSON   `json:"http"`
-	Admission   admissionStatsJSON `json:"admission"`
-	Replication *ReplicationStats  `json:"replication,omitempty"`
+	frontStats
+	Replication *ReplicationStats `json:"replication,omitempty"`
 }
 
-func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	resp := statsResponse{Snapshot: h.Index().Snapshot(), HTTP: h.routeStats(), Admission: h.admissionStats()}
+func (h *Handler) stats(shared frontStats) any {
+	resp := statsResponse{Snapshot: h.Index().Snapshot(), frontStats: shared}
 	if h.follower != nil {
 		st := h.follower.Stats()
 		resp.Replication = &st
 	}
-	writeJSON(w, resp)
+	return resp
 }
 
 // logSlowQuery emits one structured slow-query record with the
@@ -458,14 +332,13 @@ func (h *Handler) logSlowQuery(p *profile.Profile, res *index.Resolution, elapse
 	h.logger.Warn("slow query", attrs...)
 }
 
-// upsertErrorStatus maps index write errors onto the envelope code and
-// HTTP status: writes against a read-only replica are refused, not
-// malformed.
-func upsertErrorStatus(err error) (code string, status int) {
+// upsertError maps an index write error onto the envelope: writes
+// against a read-only replica are refused, not malformed.
+func upsertError(err error) *APIError {
 	if errors.Is(err, index.ErrReadOnly) {
-		return ErrCodeReadOnly, http.StatusForbidden
+		return newAPIError(http.StatusForbidden, ErrCodeReadOnly, err)
 	}
-	return ErrCodeBadRequest, http.StatusBadRequest
+	return badRequest(err)
 }
 
 // upsertResponse and bulkResponse are the typed write acknowledgements.
@@ -584,53 +457,30 @@ func newQueryResponse(x *index.Index, r *index.Resolution) queryResponse {
 	return resp
 }
 
-// readOneProfile parses exactly one JSON profile from a POST body.
-func (h *Handler) readOneProfile(w http.ResponseWriter, r *http.Request, params QueryParams) (*profile.Profile, bool) {
-	ps, ok := h.readProfiles(w, r, params)
-	if !ok {
-		return nil, false
+// oneProfile parses exactly one JSON profile from a request body.
+func oneProfile(x *index.Index, body []byte, params QueryParams) (*profile.Profile, error) {
+	ps, err := readProfiles(x, body, params)
+	if err != nil {
+		return nil, err
 	}
 	if len(ps) != 1 {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("expected one profile, got %d", len(ps)))
-		return nil, false
+		return nil, badRequest(fmt.Errorf("expected one profile, got %d", len(ps)))
 	}
-	return &ps[0], true
+	return &ps[0], nil
 }
 
-// readProfiles parses a JSON-lines POST body, applying the decoded
-// ?source knob. The body is bounded by Options.MaxBodyBytes — one huge
-// upload answers 413, it does not balloon the heap.
-func (h *Handler) readProfiles(w http.ResponseWriter, r *http.Request, params QueryParams) ([]profile.Profile, bool) {
-	x := h.Index()
-	if r.Method != http.MethodPost {
-		methodError(w, http.MethodPost)
-		return nil, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
-	ps, err := loader.ReadProfilesJSONL(r.Body, "id")
+// readProfiles parses a JSON-lines request body, applying the decoded
+// ?source knob.
+func readProfiles(x *index.Index, body []byte, params QueryParams) ([]profile.Profile, error) {
+	ps, err := loader.ReadProfilesJSONL(bytes.NewReader(body), "id")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes (split the upload or raise -max-body)", tooBig.Limit))
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return nil, false
+		return nil, badRequest(err)
 	}
 	if params.SourceSet && params.Source == 1 && !x.Clean() {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("source=1 needs a clean-clean index"))
-		return nil, false
+		return nil, badRequest(fmt.Errorf("source=1 needs a clean-clean index"))
 	}
 	for i := range ps {
 		ps[i].SourceID = params.Source
 	}
-	return ps, true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return ps, nil
 }
