@@ -422,6 +422,35 @@ func BenchmarkIndexQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexQueryPrune times BenchmarkIndexQuery/shards-16 under each
+// pruning rule. top-k selects its survivors in one bounded pass; mean and
+// none build and sort the full candidate list, and none also scores every
+// candidate, so its comparisons/op is the whole neighbourhood.
+func BenchmarkIndexQueryPrune(b *testing.B) {
+	c := indexBenchCollection(b)
+	for _, rule := range []index.PruneRule{index.PruneTopK, index.PruneMean, index.PruneNone} {
+		cfg := index.DefaultConfig()
+		cfg.Prune = rule
+		idx, err := index.NewFromCollection(c, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(rule.String(), func(b *testing.B) {
+			var comparisons, next atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := int(next.Add(1)) % c.Size()
+					r := idx.Resolve(c.Get(profile.ID(i)))
+					comparisons.Add(int64(r.Comparisons))
+				}
+			})
+			b.ReportMetric(float64(comparisons.Load())/float64(b.N), "comparisons/op")
+		})
+	}
+}
+
 // BenchmarkIndexQueryBare is BenchmarkIndexQuery at 16 shards with the
 // metrics layer disabled (Config.DisableMetrics). The delta against
 // BenchmarkIndexQuery/shards-16 is the full cost of per-stage

@@ -2,7 +2,7 @@ package index
 
 // Per-request resolution budgets: the serving-path analogue of
 // progressive meta-blocking (internal/metablocking/progressive.go).
-// Candidates are already ranked best-first by weigh, so bounding the
+// Candidates are already ranked best-first by prune, so bounding the
 // work of one resolution — by wall-clock deadline, by comparison count,
 // or both — yields the best-first *prefix* of the full answer instead
 // of an all-or-nothing answer under unbounded latency. A loaded server

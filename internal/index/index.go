@@ -40,12 +40,16 @@ type PruneRule int
 
 const (
 	// PruneTopK keeps the MaxCandidates heaviest candidates (CNP-style),
-	// bounding per-query matcher work to a constant. The default.
+	// bounding per-query matcher work to a constant. The default. The
+	// survivors are selected in one bounded pass: O(n log k) time for n
+	// candidates, and only k of them are allocated.
 	PruneTopK PruneRule = iota
 	// PruneMean keeps candidates at or above the mean weight of the
-	// query's neighbourhood (WNP-style).
+	// query's neighbourhood (WNP-style). It builds and sorts the full
+	// candidate list: O(n log n) time, n allocated.
 	PruneMean
-	// PruneNone returns every co-occurring candidate.
+	// PruneNone returns every co-occurring candidate, building and
+	// sorting the full list like PruneMean.
 	PruneNone
 )
 
@@ -85,9 +89,12 @@ type Config struct {
 	// dropping the least distinctive (largest) ones (default 0.8, the
 	// pipeline default; set to 1 to disable).
 	FilterRatio float64
-	// Prune selects the candidate pruning rule (default PruneTopK).
+	// Prune selects the candidate pruning rule (default PruneTopK). Top-k
+	// costs O(n log k) per query and allocates k candidates; mean and
+	// none build and sort the full list of n.
 	Prune PruneRule
-	// MaxCandidates is the k of PruneTopK (default 10).
+	// MaxCandidates is the k of PruneTopK (default 10): the size of the
+	// bounded heap each query selects its survivors with.
 	MaxCandidates int
 	// Measure scores Resolve candidates (default whole-profile Jaccard
 	// with Tokenizer). Leave nil for the default: Resolve then scores

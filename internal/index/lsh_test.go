@@ -41,7 +41,7 @@ func TestProbeOffBitwiseIdentical(t *testing.T) {
 			}
 			for _, p := range synthQueryProfiles(80, sources, 11) {
 				p := p
-				ref := refCandidates(plain, &p)
+				ref, _ := refCandidates(plain, &p)
 				got := withLSH.QueryWith(&p, ProbeOptions{Policy: ProbeOff}).Candidates
 				plainGot := plain.Query(&p).Candidates
 				if len(ref) != len(got) || len(ref) != len(plainGot) {

@@ -187,7 +187,7 @@ func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 	}
 	for _, p := range synthQueryProfiles(40, 1, 17) {
 		p := p
-		want := refCandidates(y, &p)
+		want, _ := refCandidates(y, &p)
 		got := y.Query(&p).Candidates
 		if len(want) != len(got) {
 			t.Fatalf("query %s: %d candidates, reference %d", p.OriginalID, len(got), len(want))

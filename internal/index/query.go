@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"sparker/internal/blocking"
@@ -228,11 +229,10 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 	// Block filtering, applied per query: scan only the smallest (most
 	// distinctive) FilterRatio fraction of the hit postings.
 	if x.cfg.FilterRatio < 1 && len(probes) > 0 {
-		sort.SliceStable(probes, func(i, j int) bool {
-			if probes[i].size != probes[j].size {
-				return probes[i].size < probes[j].size
-			}
-			return probes[i].key < probes[j].key
+		// Query keys are distinct, so (size, key) is a total order and the
+		// unstable sort is deterministic.
+		slices.SortFunc(probes, func(a, b probe) int {
+			return cmp.Or(cmp.Compare(a.size, b.size), strings.Compare(a.key, b.key))
 		})
 		keep := int(math.Ceil(x.cfg.FilterRatio * float64(len(probes))))
 		if keep < 1 {
@@ -329,7 +329,7 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 	res.selfID = selfID
 	x.weigh(res, liveKeys, sc, qsig, budget)
 	clk.Tick(res.StageNanos[:], int(StageWeigh))
-	res.Pruned = x.prune(res)
+	x.prune(res)
 	clk.Tick(res.StageNanos[:], int(StagePrune))
 	if m != nil {
 		var total int64
@@ -391,14 +391,18 @@ func (x *Index) probeLSH(p *profile.Profile, qsig []uint64, selfID profile.ID, m
 	}
 }
 
-// weigh converts the accumulated co-occurrence statistics into ranked
-// weighted candidates using the configured meta-blocking scheme, filling
-// res.Candidates and res.LSHCandidates. Probe-only candidates (no shared
+// weigh converts the accumulated co-occurrence statistics into weighted
+// candidates using the configured meta-blocking scheme, filling
+// res.Candidates (unordered; prune ranks them) and res.LSHCandidates.
+// Under PruneTopK it keeps only the MaxCandidates best-ranked candidates
+// in a bounded heap and counts the rest into res.Pruned, so the full
+// candidate list is never built. Probe-only candidates (no shared
 // blocking key — every co-occurrence scheme scores them zero) are
 // weighted by estimated Jaccard against qsig, or by shared-bucket count,
 // per LSHConfig.Weight.
 func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []uint64, budget Budget) {
-	if len(sc.Touched()) == 0 {
+	touched := sc.Touched()
+	if len(touched) == 0 {
 		return
 	}
 	numBlocks := float64(x.numBlocks.Load())
@@ -409,9 +413,23 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 	case metablocking.ECBS, metablocking.JS, metablocking.EJS:
 		needsCandKeys = true
 	}
-	out := make([]Candidate, 0, len(sc.Touched()))
-	x.mu.RLock()
-	for i, id := range sc.Touched() {
+	jaccardProbe := qsig != nil && x.cfg.LSH.Weight == LSHWeightJaccard
+	// byID is the only index-wide state the loop reads: the default CBS
+	// configuration weighs without the profile lock, leaving upserts free.
+	if needsCandKeys || jaccardProbe {
+		x.mu.RLock()
+		defer x.mu.RUnlock()
+	}
+	// Top-k fills a heap of k slots; the other rules keep every candidate.
+	selecting := x.cfg.Prune == PruneTopK
+	var out []Candidate
+	if selecting {
+		out = make([]Candidate, 0, min(x.cfg.MaxCandidates, len(touched)))
+	} else {
+		out = make([]Candidate, 0, len(touched))
+	}
+	seen := 0
+	for i, id := range touched {
 		// Deadline boundary, every weighCheckInterval candidates: the
 		// candidates weighed so far still rank best-first below.
 		if budget.Deadline != 0 && i%weighCheckInterval == 0 && budget.expired() {
@@ -419,43 +437,92 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 			break
 		}
 		a := sc.At(id)
+		var c Candidate
 		if a.cbs == 0 {
 			// Probe-only candidate: reachable only when an LSH probe ran.
 			w := float64(a.buckets)
-			if x.cfg.LSH.Weight == LSHWeightJaccard {
+			if jaccardProbe {
 				w = 0
 				if sp := x.byID[id]; sp != nil {
 					w = lsh.EstimateJaccard(qsig, sp.sig)
 				}
 			}
-			out = append(out, Candidate{ID: id, Weight: w, SharedBuckets: a.buckets})
+			c = Candidate{ID: id, Weight: w, SharedBuckets: a.buckets}
 			res.LSHCandidates++
-			continue
-		}
-		candKeys := 0
-		if needsCandKeys {
-			if sp := x.byID[id]; sp != nil {
-				candKeys = len(sp.keys)
+		} else {
+			candKeys := 0
+			if needsCandKeys {
+				if sp := x.byID[id]; sp != nil {
+					candKeys = len(sp.keys)
+				}
+			}
+			c = Candidate{
+				ID:            id,
+				Weight:        x.weight(a, queryKeys, candKeys, numBlocks),
+				SharedKeys:    a.cbs,
+				SharedBuckets: a.buckets,
 			}
 		}
-		out = append(out, Candidate{
-			ID:            id,
-			Weight:        x.weight(a, queryKeys, candKeys, numBlocks),
-			SharedKeys:    a.cbs,
-			SharedBuckets: a.buckets,
-		})
+		seen++
+		if selecting {
+			out = offerTopK(out, c)
+		} else {
+			out = append(out, c)
+		}
 	}
-	x.mu.RUnlock()
 	if res.LSHCandidates > 0 {
 		x.lshOnly.Add(int64(res.LSHCandidates))
 	}
-	slices.SortFunc(out, func(a, b Candidate) int {
-		if a.Weight != b.Weight {
-			return cmp.Compare(b.Weight, a.Weight)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
 	res.Candidates = out
+	res.Pruned = seen - len(out)
+}
+
+// rankCmp orders candidates best-first: weight descending, ties by ID
+// ascending.
+func rankCmp(a, b Candidate) int {
+	if a.Weight != b.Weight {
+		return cmp.Compare(b.Weight, a.Weight)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// offerTopK offers c to h, a heap of at most cap(h) candidates whose
+// root h[0] is the worst kept by rankCmp, and returns the heap. c enters
+// while a slot is free or when it ranks before the root, so a candidate
+// that does not beat the root costs one comparison: the one-pass CNP
+// selection, the online counterpart of the batch runner's
+// kthLargestWeight.
+func offerTopK(h []Candidate, c Candidate) []Candidate {
+	if len(h) < cap(h) {
+		h = append(h, c)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if rankCmp(h[parent], h[i]) >= 0 {
+				break
+			}
+			h[parent], h[i] = h[i], h[parent]
+			i = parent
+		}
+		return h
+	}
+	if rankCmp(c, h[0]) >= 0 {
+		return h
+	}
+	h[0] = c
+	for i := 0; ; {
+		worst, l := i, 2*i+1
+		if l < len(h) && rankCmp(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r := l + 1; r < len(h) && rankCmp(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return h
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // weight mirrors metablocking's edge weighting for one query/candidate
@@ -498,30 +565,29 @@ func (x *Index) weight(a *candAcc, queryKeys, candKeys int, numBlocks float64) f
 	}
 }
 
-// prune applies the configured rule to the ranked candidates in place and
-// returns how many were dropped.
-func (x *Index) prune(res *QueryResult) int {
-	before := len(res.Candidates)
-	switch x.cfg.Prune {
-	case PruneTopK:
-		if before > x.cfg.MaxCandidates {
-			res.Candidates = res.Candidates[:x.cfg.MaxCandidates]
-		}
-	case PruneMean:
-		var sum float64
-		for _, c := range res.Candidates {
-			sum += c.Weight
-		}
-		mean := sum / float64(before)
-		keep := res.Candidates[:0]
-		for _, c := range res.Candidates {
-			if c.Weight >= mean {
-				keep = append(keep, c)
-			}
-		}
-		res.Candidates = keep
+// prune ranks the weighed candidates best-first and applies the
+// configured rule in place. Under PruneTopK weigh already selected the
+// survivors and counted Pruned, so this only orders the ≤k of them;
+// PruneMean drops candidates below the mean weight, summed in rank order.
+func (x *Index) prune(res *QueryResult) {
+	slices.SortFunc(res.Candidates, rankCmp)
+	if x.cfg.Prune != PruneMean {
+		return
 	}
-	return before - len(res.Candidates)
+	before := len(res.Candidates)
+	var sum float64
+	for _, c := range res.Candidates {
+		sum += c.Weight
+	}
+	mean := sum / float64(before)
+	keep := res.Candidates[:0]
+	for _, c := range res.Candidates {
+		if c.Weight >= mean {
+			keep = append(keep, c)
+		}
+	}
+	res.Candidates = keep
+	res.Pruned = before - len(keep)
 }
 
 // Resolution is the online analogue of one pipeline run for a single

@@ -12,13 +12,15 @@ import (
 )
 
 // This file retains the pre-flat-kernel map-based candidate accumulator
-// as a reference and proves the query hot path's dense scratch is an
-// exact drop-in: candidate sets, order, and weights must be
-// bitwise-identical for every scheme × prune rule × task type, with and
-// without entropy weighting.
+// as a reference and proves the query hot path's dense scratch and its
+// bounded top-k selection are an exact drop-in: candidate sets, order,
+// weights and the pruned count must be bitwise-identical for every
+// scheme × prune rule × task type, with and without entropy weighting.
 
-// refCandidates replicates Query on the historical map accumulator path.
-func refCandidates(x *Index, p *profile.Profile) []Candidate {
+// refCandidates replicates Query on the historical map accumulator path:
+// weigh every candidate, sort the full list, then cut it by the prune
+// rule. It returns the surviving candidates and how many were pruned.
+func refCandidates(x *Index, p *profile.Profile) ([]Candidate, int) {
 	if !x.clean && p.SourceID != 0 {
 		q := *p
 		q.SourceID = 0
@@ -133,9 +135,27 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 		}
 		return out[i].ID < out[j].ID
 	})
-	res := &QueryResult{Candidates: out}
-	x.prune(res)
-	return res.Candidates
+	before := len(out)
+	switch x.cfg.Prune {
+	case PruneTopK:
+		if len(out) > x.cfg.MaxCandidates {
+			out = out[:x.cfg.MaxCandidates]
+		}
+	case PruneMean:
+		var sum float64
+		for _, c := range out {
+			sum += c.Weight
+		}
+		mean := sum / float64(len(out))
+		var keep []Candidate
+		for _, c := range out {
+			if c.Weight >= mean {
+				keep = append(keep, c)
+			}
+		}
+		out = keep
+	}
+	return out, before - len(out)
 }
 
 // lenClustering assigns attribute clusters by name length, giving the
@@ -174,10 +194,19 @@ func TestQueryMatchesMapReference(t *testing.T) {
 		}
 		for _, useEntropy := range []bool{false, true} {
 			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
-				for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
+				// Top-k runs at k below the ~30 candidates a query has
+				// here (1, 3, 10) and above it (1000 keeps them all);
+				// mean and none ignore k.
+				type pruneCase struct {
+					rule PruneRule
+					k    int
+				}
+				cases := []pruneCase{{PruneTopK, 1}, {PruneTopK, 3}, {PruneTopK, 10}, {PruneTopK, 1000}, {PruneMean, 0}, {PruneNone, 0}}
+				for _, pc := range cases {
 					cfg := DefaultConfig()
 					cfg.Scheme = scheme
-					cfg.Prune = rule
+					cfg.Prune = pc.rule
+					cfg.MaxCandidates = pc.k
 					if useEntropy {
 						cfg.Clustering = lenClustering{}
 						cfg.Entropy = rampEntropy{}
@@ -188,13 +217,15 @@ func TestQueryMatchesMapReference(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					label := fmt.Sprintf("clean=%v entropy=%v %v/%v", clean, useEntropy, scheme, rule)
+					label := fmt.Sprintf("clean=%v entropy=%v %v/%v k=%d", clean, useEntropy, scheme, pc.rule, pc.k)
 					for _, p := range synthQueryProfiles(60, sources, 5) {
 						p := p
-						want := refCandidates(x, &p)
-						got := x.Query(&p).Candidates
-						if len(want) != len(got) {
-							t.Fatalf("%s query %s: %d candidates, reference %d", label, p.OriginalID, len(got), len(want))
+						want, wantPruned := refCandidates(x, &p)
+						res := x.Query(&p)
+						got := res.Candidates
+						if len(want) != len(got) || res.Pruned != wantPruned {
+							t.Fatalf("%s query %s: %d candidates, %d pruned; reference %d, %d pruned",
+								label, p.OriginalID, len(got), res.Pruned, len(want), wantPruned)
 						}
 						for i := range want {
 							if want[i].ID != got[i].ID || want[i].SharedKeys != got[i].SharedKeys ||
@@ -256,14 +287,80 @@ func TestQueryScratchGrowsWithUpserts(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := batch[i/2]
-		want := refCandidates(x, &q)
-		got := x.Query(&q).Candidates
-		if len(want) != len(got) {
-			t.Fatalf("after %d upserts: %d candidates, reference %d", i+1, len(got), len(want))
+		want, wantPruned := refCandidates(x, &q)
+		res := x.Query(&q)
+		got := res.Candidates
+		if len(want) != len(got) || res.Pruned != wantPruned {
+			t.Fatalf("after %d upserts: %d candidates, %d pruned; reference %d, %d pruned",
+				i+1, len(got), res.Pruned, len(want), wantPruned)
 		}
 		for j := range want {
 			if want[j].ID != got[j].ID || math.Float64bits(want[j].Weight) != math.Float64bits(got[j].Weight) {
 				t.Fatalf("after %d upserts candidate %d: %+v vs %+v", i+1, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestTopKSelectMatchesFullSort pins the bounded top-k selection against
+// the full-list path on the LSH probe weights the map reference does not
+// model: a PruneTopK index must answer the PruneNone ranking cut at k,
+// with the same pruned and probe-only counts, for token and probe-only
+// (Jaccard- and bucket-weighted) candidates alike.
+func TestTopKSelectMatchesFullSort(t *testing.T) {
+	lshModes := []struct {
+		name string
+		lsh  LSHConfig
+	}{
+		{"off", LSHConfig{}},
+		{"union-jaccard", LSHConfig{Policy: ProbeUnion, Threshold: 0.3}},
+		{"union-buckets", LSHConfig{Policy: ProbeUnion, Threshold: 0.3, Weight: LSHWeightBuckets}},
+	}
+	profiles := synthQueryProfiles(80, 1, 23)
+	for _, mode := range lshModes {
+		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
+			build := func(rule PruneRule, k int) *Index {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.LSH = mode.lsh
+				cfg.Prune = rule
+				cfg.MaxCandidates = k
+				x := New(false, cfg)
+				for _, p := range profiles {
+					if _, _, err := x.Upsert(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return x
+			}
+			full := build(PruneNone, 0)
+			for _, k := range []int{1, 3, 10} {
+				top := build(PruneTopK, k)
+				label := fmt.Sprintf("lsh=%s %v k=%d", mode.name, scheme, k)
+				probeOnly := 0
+				for _, p := range profiles {
+					p := p
+					want := full.Query(&p)
+					got := top.Query(&p)
+					cut := want.Candidates[:min(k, len(want.Candidates))]
+					if len(got.Candidates) != len(cut) || got.Pruned != len(want.Candidates)-len(cut) ||
+						got.LSHCandidates != want.LSHCandidates {
+						t.Fatalf("%s query %s: %d candidates, %d pruned, %d probe-only; full list %d, %d probe-only",
+							label, p.OriginalID, len(got.Candidates), got.Pruned, got.LSHCandidates,
+							len(want.Candidates), want.LSHCandidates)
+					}
+					for i, c := range cut {
+						g := got.Candidates[i]
+						if g.ID != c.ID || g.SharedKeys != c.SharedKeys || g.SharedBuckets != c.SharedBuckets ||
+							math.Float64bits(g.Weight) != math.Float64bits(c.Weight) {
+							t.Fatalf("%s query %s candidate %d: %+v vs full list %+v", label, p.OriginalID, i, g, c)
+						}
+					}
+					probeOnly += want.LSHCandidates
+				}
+				if mode.lsh.Policy != ProbeOff && probeOnly == 0 {
+					t.Fatalf("%s: the probe surfaced no probe-only candidates", label)
+				}
 			}
 		}
 	}
