@@ -327,8 +327,8 @@ func run() error {
 	}
 	switch *measure {
 	case "jaccard":
-		// Leave Measure nil: the index installs whole-profile Jaccard
-		// itself and unlocks its cached-token-bag scoring fast path.
+		// Leave Measure nil: the index installs whole-profile Jaccard.
+		// Both set measures score from token sets cached at upsert.
 	case "dice":
 		cfg.Measure = matching.DiceMeasure(cfg.Tokenizer)
 	default:

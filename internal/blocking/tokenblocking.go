@@ -58,15 +58,14 @@ type KeyedToken struct {
 }
 
 // keyScratch bundles the reusable state of key derivation: the per-call
-// dedup set, the tokenizer's normalise-and-intern scratch, and the token
-// buffer. Key derivation runs once per profile on both the batch blocking
-// and index upsert/query hot paths; pooling this state (clearing the set
-// compiles to a cheap map reset) makes steady-state key derivation
+// dedup set and the token buffer. Key derivation runs once per profile on
+// both the batch blocking and index upsert/query hot paths; pooling this
+// state (clearing the set compiles to a cheap map reset) and leasing a
+// pooled tokenizer scratch makes steady-state key derivation
 // allocation-free — tokens and keys alloc only on first sight, through
 // the scratch's intern table.
 type keyScratch struct {
 	seen map[string]struct{}
-	tok  tokenize.Scratch
 	toks []string
 }
 
@@ -81,8 +80,9 @@ var keyScratchPool = sync.Pool{
 // allocates nothing per profile in the steady state.
 func (o *Options) AppendKeysOf(dst []KeyedToken, p *profile.Profile) []KeyedToken {
 	ks := keyScratchPool.Get().(*keyScratch)
+	sc := tokenize.GetScratch()
 	for _, kv := range p.Attributes {
-		ks.toks = o.Tokenizer.AppendTokens(ks.toks[:0], kv.Value, &ks.tok)
+		ks.toks = o.Tokenizer.AppendTokens(ks.toks[:0], kv.Value, sc)
 		for _, tok := range ks.toks {
 			key, cluster := o.KeyFor(p.SourceID, kv.Key, tok)
 			if _, dup := ks.seen[key]; !dup {
@@ -91,6 +91,7 @@ func (o *Options) AppendKeysOf(dst []KeyedToken, p *profile.Profile) []KeyedToke
 			}
 		}
 	}
+	tokenize.PutScratch(sc)
 	clear(ks.seen)
 	keyScratchPool.Put(ks)
 	return dst

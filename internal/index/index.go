@@ -23,6 +23,7 @@ package index
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -96,11 +97,13 @@ type Config struct {
 	// MaxCandidates is the k of PruneTopK (default 10): the size of the
 	// bounded heap each query selects its survivors with.
 	MaxCandidates int
-	// Measure scores Resolve candidates (default whole-profile Jaccard
-	// with Tokenizer). Leave nil for the default: Resolve then scores
-	// candidates from token bags cached at upsert time instead of
-	// re-tokenizing both profiles per comparison (bitwise-identical
-	// scores, far fewer allocations per query).
+	// Measure scores Resolve candidates (nil: whole-profile Jaccard with
+	// Tokenizer). A matching.SetMeasure (JaccardMeasure, DiceMeasure) is
+	// scored from each stored profile's sorted token set, built once at
+	// upsert, intersected with the query's set: the same bits as its
+	// Score with no per-comparison tokenization. Any other Measure, such
+	// as a matching.MeasureFunc, is called on both profiles per
+	// comparison.
 	Measure matching.Measure
 	// MatchThreshold labels a Resolve candidate a match at or above it.
 	// Zero resolves to 0.3 (the unsupervised pipeline default); use a
@@ -129,9 +132,12 @@ type Config struct {
 	// branch per comparison and changes nothing.
 	ScoreHook func()
 
-	// defaultJaccard records that Measure was nil and withDefaults
-	// installed the whole-profile Jaccard, enabling the cached-bag scorer.
-	defaultJaccard bool
+	// sets is Measure when it is a matching.SetMeasure (nil otherwise):
+	// stored profiles then cache the bag it scores.
+	sets *matching.SetMeasure
+	// sigFromBag records that sets tokenizes like Tokenizer, so a cached
+	// bag is the token set LSH signatures are computed from.
+	sigFromBag bool
 }
 
 // DefaultConfig is the unsupervised serving configuration: schema-agnostic
@@ -168,7 +174,11 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Measure == nil {
 		c.Measure = matching.JaccardMeasure(c.Tokenizer)
-		c.defaultJaccard = true
+	}
+	c.sets, c.sigFromBag = nil, false
+	if m, ok := c.Measure.(matching.SetMeasure); ok {
+		c.sets = &m
+		c.sigFromBag = reflect.DeepEqual(m.Tokenizer(), c.Tokenizer)
 	}
 	c.LSH = c.LSH.withDefaults()
 	c.OpLog = c.OpLog.withDefaults()
@@ -217,8 +227,8 @@ type shard struct {
 type storedProfile struct {
 	p    profile.Profile
 	keys []blocking.KeyedToken
-	// bag is the distinct whole-profile token set, cached for the default
-	// Jaccard scorer (nil when a custom Measure is configured).
+	// bag is the sorted distinct whole-profile token set the configured
+	// SetMeasure scores (nil when Measure is not a SetMeasure).
 	bag []string
 	// sig is the MinHash signature of the token bag (nil when LSH is
 	// disabled or the bag is empty). Band keys are a pure function of it,
@@ -474,8 +484,8 @@ func (x *Index) putLocked(p profile.Profile) {
 		x.idBound.Store(b)
 	}
 	sp := &storedProfile{p: p, keys: x.opts.KeysOf(&p)}
-	if x.cfg.defaultJaccard {
-		sp.bag = distinctBag(&p, x.cfg)
+	if x.cfg.sets != nil {
+		sp.bag = x.cfg.sets.Set(&p)
 	}
 	if x.lshOn() {
 		sp.sig = x.signatureOf(sp)
@@ -536,21 +546,6 @@ func (x *Index) removeLocked(id profile.ID) {
 		x.removeLSHLocked(sp)
 	}
 	x.numProfiles.Add(-1)
-}
-
-// distinctBag returns the profile's distinct whole-profile tokens, the
-// cached operand of the default Jaccard scorer.
-func distinctBag(p *profile.Profile, cfg Config) []string {
-	bag := matching.ProfileBag(p, cfg.Tokenizer)
-	seen := make(map[string]struct{}, len(bag))
-	out := bag[:0]
-	for _, t := range bag {
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // removeID deletes one ID from a posting list, preserving order.

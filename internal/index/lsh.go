@@ -217,11 +217,12 @@ func (st *lshState) putScratch(s *lshScratch) {
 // signatureOf computes the retained MinHash signature of a stored
 // profile from its token bag, or nil for an empty bag (an all-max
 // signature would collide with every other empty profile in every
-// bucket). The cached distinct bag is reused when present; duplicates
-// would not change a MinHash anyway.
+// bucket). The cached sorted distinct bag is reused when the measure
+// tokenizes like the index; neither token order nor duplicates change a
+// MinHash.
 func (x *Index) signatureOf(sp *storedProfile) []uint64 {
 	bag := sp.bag
-	if bag == nil {
+	if !x.cfg.sigFromBag {
 		bag = matching.ProfileBag(&sp.p, x.cfg.Tokenizer)
 	}
 	if len(bag) == 0 {

@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"sparker/internal/blocking"
+	"sparker/internal/matching"
 	"sparker/internal/obs"
 	"sparker/internal/profile"
 )
@@ -655,13 +656,15 @@ func decodeProfile(cr *crcReader, x *Index, idBound uint64, readSig bool, sigLen
 			bag = append(bag, t)
 		}
 	}
-	if x.cfg.defaultJaccard {
-		// The cached-bag scorer needs a bag; snapshots written under a
-		// custom measure carry none, so recompute it.
+	if x.cfg.sets != nil {
+		// The set scorer needs a sorted bag. Snapshots written under
+		// another measure carry none, so recompute it; older snapshots
+		// wrote bags in first-seen order, so sort what is read.
 		if bag == nil {
-			bag = distinctBag(&sp.p, x.cfg)
+			sp.bag = x.cfg.sets.Set(&sp.p)
+		} else {
+			sp.bag = matching.SortedSet(bag)
 		}
-		sp.bag = bag
 	}
 
 	if readSig {

@@ -1,13 +1,17 @@
 package index
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
+	"sparker/internal/profile"
 )
 
 // This file proves a restored snapshot is an exact stand-in for the live
@@ -127,41 +131,95 @@ func TestPersistedEquivalenceAfterChurn(t *testing.T) {
 }
 
 // TestPersistedCustomMeasure round-trips an index configured with a
-// custom (non-default) measure: no bags are serialized, and the loaded
-// index scores through the same measure implementation.
+// non-default measure: a SetMeasure (its sorted bags are serialized) and
+// a plain MeasureFunc (no bags are serialized). The loaded index scores
+// through the same measure implementation.
 func TestPersistedCustomMeasure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Measure = matching.DiceMeasure(cfg.Tokenizer)
-	cfg.MatchThreshold = -1
-	x := New(false, cfg)
-	for _, p := range synthQueryProfiles(40, 1, 17) {
-		if _, _, err := x.Upsert(p); err != nil {
-			t.Fatal(err)
+	tok := DefaultConfig().Tokenizer
+	for _, measure := range []matching.Measure{
+		matching.DiceMeasure(tok),
+		matching.MeasureFunc(matching.DiceMeasure(tok).Score),
+	} {
+		cfg := DefaultConfig()
+		cfg.Measure = measure
+		cfg.MatchThreshold = -1
+		x := New(false, cfg)
+		for _, p := range synthQueryProfiles(40, 1, 17) {
+			if _, _, err := x.Upsert(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	y := saveLoad(t, x, cfg)
-	for _, p := range synthQueryProfiles(40, 1, 17) {
-		p := p
-		wr, gr := x.Resolve(&p), y.Resolve(&p)
-		if len(wr.Matches) != len(gr.Matches) {
-			t.Fatalf("resolve %s: %d matches, live %d", p.OriginalID, len(gr.Matches), len(wr.Matches))
-		}
-		for i := range wr.Matches {
-			if wr.Matches[i].B != gr.Matches[i].B ||
-				math.Float64bits(wr.Matches[i].Score) != math.Float64bits(gr.Matches[i].Score) {
-				t.Fatalf("resolve %s match %d diverged", p.OriginalID, i)
+		y := saveLoad(t, x, cfg)
+		for _, p := range synthQueryProfiles(40, 1, 17) {
+			p := p
+			wr, gr := x.Resolve(&p), y.Resolve(&p)
+			if len(wr.Matches) != len(gr.Matches) {
+				t.Fatalf("%T resolve %s: %d matches, live %d", measure, p.OriginalID, len(gr.Matches), len(wr.Matches))
+			}
+			for i := range wr.Matches {
+				if wr.Matches[i].B != gr.Matches[i].B ||
+					math.Float64bits(wr.Matches[i].Score) != math.Float64bits(gr.Matches[i].Score) {
+					t.Fatalf("%T resolve %s match %d diverged", measure, p.OriginalID, i)
+				}
 			}
 		}
 	}
 }
 
-// TestPersistedBagFallback saves under a custom measure (no bags in the
-// file) and loads under the default config: the loaded index must
+// TestPersistedUnsortedBags loads a snapshot whose bags are not sorted,
+// as files written before bags were kept sorted store them in first-seen
+// order: Load must sort them, so Resolve answers stay byte-identical to
+// the index that wrote the file.
+func TestPersistedUnsortedBags(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MatchThreshold = -1
+	x := New(false, cfg)
+	queries := synthQueryProfiles(40, 1, 23)
+	for _, p := range queries {
+		if _, _, err := x.Upsert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answer := func(idx *Index, p *profile.Profile) []byte {
+		r := idx.Resolve(p)
+		b, err := json.Marshal(struct {
+			Matches     []matching.Match
+			Comparisons int
+		}{r.Matches, r.Comparisons})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := make([][]byte, len(queries))
+	for i := range queries {
+		want[i] = answer(x, &queries[i])
+	}
+	reversed := 0
+	for _, sp := range x.byID {
+		if len(sp.bag) > 1 {
+			slices.Reverse(sp.bag)
+			reversed++
+		}
+	}
+	if reversed == 0 {
+		t.Fatal("no multi-token bag to reverse")
+	}
+	y := saveLoad(t, x, cfg)
+	for i := range queries {
+		if got := answer(y, &queries[i]); !bytes.Equal(got, want[i]) {
+			t.Fatalf("resolve %s after loading unsorted bags:\n got %s\nwant %s", queries[i].OriginalID, got, want[i])
+		}
+	}
+}
+
+// TestPersistedBagFallback saves under a plain MeasureFunc (no bags in
+// the file) and loads under the default config: the loaded index must
 // recompute the cached bags and agree with a directly built default
 // index bit for bit.
 func TestPersistedBagFallback(t *testing.T) {
 	saveCfg := DefaultConfig()
-	saveCfg.Measure = matching.DiceMeasure(saveCfg.Tokenizer)
+	saveCfg.Measure = matching.MeasureFunc(matching.DiceMeasure(saveCfg.Tokenizer).Score)
 	saveCfg.MatchThreshold = -1
 	x := New(false, saveCfg)
 	defCfg := DefaultConfig()

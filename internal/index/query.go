@@ -109,6 +109,9 @@ type candAcc struct {
 // keyBufPool recycles the per-query blocking-key buffers of Query.
 var keyBufPool = sync.Pool{New: func() any { return new([]blocking.KeyedToken) }}
 
+// setBufPool recycles the buffer a query's sorted token set is built in.
+var setBufPool = sync.Pool{New: func() any { return new([]string) }}
+
 // queryScratch is the flat-array candidate kernel of the query hot path:
 // the shared dense, epoch-stamped scratch primitive the meta-blocker
 // uses, instantiated with the candidate accumulator and indexed by the
@@ -662,44 +665,35 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 	}
 	hook := x.cfg.ScoreHook
 
-	if x.cfg.defaultJaccard {
-		// Default-Jaccard fast path: candidates carry their distinct token
-		// bag from upsert time, so the query is tokenized once and each
-		// comparison is a set intersection — bitwise-identical scores to
-		// matching.JaccardMeasure with none of its per-pair tokenization.
-		qbag := matching.ProfileBag(p, x.cfg.Tokenizer)
-		qset := make(map[string]struct{}, len(qbag))
-		for _, t := range qbag {
-			qset[t] = struct{}{}
+	// A SetMeasure scores from sets: each candidate carries its sorted
+	// distinct bag from upsert time, so the query is tokenized and sorted
+	// once and each comparison is one merge-intersect, the same bits as
+	// the measure's Score with none of its per-pair tokenization.
+	sets := x.cfg.sets
+	var qbag []string
+	if sets != nil {
+		buf := setBufPool.Get().(*[]string)
+		defer setBufPool.Put(buf)
+		*buf = sets.SetInto(*buf, p)
+		qbag = *buf
+	}
+	for _, c := range cands {
+		if budget.expired() {
+			qr.truncate(StageScore)
+			break
 		}
-		for _, c := range cands {
-			if budget.expired() {
-				qr.truncate(StageScore)
-				break
-			}
-			if hook != nil {
-				hook()
-			}
-			r.Comparisons++
-			score := jaccardBagSet(qset, c.sp.bag)
-			if score >= x.cfg.MatchThreshold {
-				r.Matches = append(r.Matches, matching.Match{A: queryID, B: c.id, Score: score})
-			}
+		if hook != nil {
+			hook()
 		}
-	} else {
-		for _, c := range cands {
-			if budget.expired() {
-				qr.truncate(StageScore)
-				break
-			}
-			if hook != nil {
-				hook()
-			}
-			r.Comparisons++
-			score := x.cfg.Measure(p, &c.sp.p)
-			if score >= x.cfg.MatchThreshold {
-				r.Matches = append(r.Matches, matching.Match{A: queryID, B: c.id, Score: score})
-			}
+		r.Comparisons++
+		var score float64
+		if sets != nil {
+			score = sets.Of(matching.IntersectSorted(qbag, c.sp.bag), len(qbag), len(c.sp.bag))
+		} else {
+			score = x.cfg.Measure.Score(p, &c.sp.p)
+		}
+		if score >= x.cfg.MatchThreshold {
+			r.Matches = append(r.Matches, matching.Match{A: queryID, B: c.id, Score: score})
 		}
 	}
 	sort.Slice(r.Matches, func(i, j int) bool {
@@ -719,23 +713,6 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 		m.Resolve.Observe(total)
 	}
 	return r
-}
-
-// jaccardBagSet computes |A∩B|/|A∪B| of a query token set against a
-// candidate's cached distinct bag, matching matching.JaccardTokens bit
-// for bit (same cardinalities, same division).
-func jaccardBagSet(qset map[string]struct{}, bag []string) float64 {
-	inter := 0
-	for _, t := range bag {
-		if _, ok := qset[t]; ok {
-			inter++
-		}
-	}
-	union := len(qset) + len(bag) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }
 
 // Report evaluates the resolution against a ground truth, producing the

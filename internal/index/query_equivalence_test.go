@@ -241,37 +241,50 @@ func TestQueryMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestResolveFastPathMatchesJaccardMeasure proves the cached-bag scorer
-// is bitwise-identical to the generic matching.JaccardMeasure path.
+// TestResolveFastPathMatchesJaccardMeasure proves the sorted-set scorer
+// is bitwise-identical to calling the measure on both profiles per
+// comparison. Wrapping a SetMeasure's Score in a MeasureFunc hides the
+// set structure and forces the generic path.
 func TestResolveFastPathMatchesJaccardMeasure(t *testing.T) {
-	fastCfg := DefaultConfig() // Measure nil: fast path
-	slowCfg := DefaultConfig()
-	slowCfg.Measure = matching.JaccardMeasure(slowCfg.Tokenizer)
-	slowCfg.MatchThreshold = -1 // keep every scored candidate
-	fastCfg.MatchThreshold = -1
-	fast := New(false, fastCfg)
-	slow := New(false, slowCfg)
-	for _, p := range synthQueryProfiles(80, 1, 13) {
-		if _, _, err := fast.Upsert(p); err != nil {
-			t.Fatal(err)
+	tok := DefaultConfig().Tokenizer
+	for _, tc := range []struct {
+		name string
+		fast matching.Measure // nil: the default Jaccard
+		slow matching.Measure
+	}{
+		{"jaccard", nil, matching.MeasureFunc(matching.JaccardMeasure(tok).Score)},
+		{"dice", matching.DiceMeasure(tok), matching.MeasureFunc(matching.DiceMeasure(tok).Score)},
+	} {
+		fastCfg := DefaultConfig()
+		fastCfg.Measure = tc.fast
+		slowCfg := DefaultConfig()
+		slowCfg.Measure = tc.slow
+		slowCfg.MatchThreshold = -1 // keep every scored candidate
+		fastCfg.MatchThreshold = -1
+		fast := New(false, fastCfg)
+		slow := New(false, slowCfg)
+		for _, p := range synthQueryProfiles(80, 1, 13) {
+			if _, _, err := fast.Upsert(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := slow.Upsert(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if _, _, err := slow.Upsert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range synthQueryProfiles(80, 1, 13) {
-		p := p
-		fr := fast.Resolve(&p)
-		sr := slow.Resolve(&p)
-		if fr.Comparisons != sr.Comparisons || len(fr.Matches) != len(sr.Matches) {
-			t.Fatalf("query %s: fast %d matches/%d comparisons, slow %d/%d",
-				p.OriginalID, len(fr.Matches), fr.Comparisons, len(sr.Matches), sr.Comparisons)
-		}
-		for i := range fr.Matches {
-			if fr.Matches[i].B != sr.Matches[i].B ||
-				math.Float64bits(fr.Matches[i].Score) != math.Float64bits(sr.Matches[i].Score) {
-				t.Fatalf("query %s match %d: fast %+v vs slow %+v",
-					p.OriginalID, i, fr.Matches[i], sr.Matches[i])
+		for _, p := range synthQueryProfiles(80, 1, 13) {
+			p := p
+			fr := fast.Resolve(&p)
+			sr := slow.Resolve(&p)
+			if fr.Comparisons != sr.Comparisons || len(fr.Matches) != len(sr.Matches) {
+				t.Fatalf("%s query %s: fast %d matches/%d comparisons, slow %d/%d",
+					tc.name, p.OriginalID, len(fr.Matches), fr.Comparisons, len(sr.Matches), sr.Comparisons)
+			}
+			for i := range fr.Matches {
+				if fr.Matches[i].B != sr.Matches[i].B ||
+					math.Float64bits(fr.Matches[i].Score) != math.Float64bits(sr.Matches[i].Score) {
+					t.Fatalf("%s query %s match %d: fast %+v vs slow %+v",
+						tc.name, p.OriginalID, i, fr.Matches[i], sr.Matches[i])
+				}
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"sparker/internal/blocking"
 	"sparker/internal/dataflow"
 	"sparker/internal/profile"
-	"sparker/internal/tokenize"
 )
 
 // Match is a candidate pair labelled as a match, with its similarity
@@ -19,35 +18,26 @@ type Match struct {
 }
 
 // Measure scores the similarity of two profiles in [0, 1].
-type Measure func(a, b *profile.Profile) float64
-
-// JaccardMeasure scores profiles by the Jaccard similarity of their
-// whole-profile token bags, the unsupervised default.
-func JaccardMeasure(tok tokenize.Options) Measure {
-	return func(a, b *profile.Profile) float64 {
-		return JaccardTokens(ProfileBag(a, tok), ProfileBag(b, tok))
-	}
+type Measure interface {
+	Score(a, b *profile.Profile) float64
 }
 
-// DiceMeasure scores profiles with the Dice coefficient of their bags.
-func DiceMeasure(tok tokenize.Options) Measure {
-	return func(a, b *profile.Profile) float64 {
-		return DiceTokens(ProfileBag(a, tok), ProfileBag(b, tok))
-	}
-}
+// MeasureFunc adapts a plain scoring function to Measure.
+type MeasureFunc func(a, b *profile.Profile) float64
+
+// Score calls f(a, b).
+func (f MeasureFunc) Score(a, b *profile.Profile) float64 { return f(a, b) }
 
 // CosineMeasure scores profiles with TF-IDF cosine similarity (the CSA
 // stand-in).
-func CosineMeasure(m *TFIDF) Measure {
-	return func(a, b *profile.Profile) float64 { return m.Cosine(a, b) }
-}
+func CosineMeasure(m *TFIDF) Measure { return MeasureFunc(m.Cosine) }
 
 // AttributeMeasure compares one attribute of each profile with a string
 // similarity; useful for schema-aware supervised configurations.
 func AttributeMeasure(attrA, attrB string, sim func(a, b string) float64) Measure {
-	return func(a, b *profile.Profile) float64 {
+	return MeasureFunc(func(a, b *profile.Profile) float64 {
 		return sim(a.Value(attrA), b.Value(attrB))
-	}
+	})
 }
 
 // Ensemble averages several measures with weights. Weights are normalised;
@@ -63,24 +53,25 @@ func Ensemble(measures []Measure, weights []float64) Measure {
 	for _, w := range weights {
 		total += w
 	}
-	return func(a, b *profile.Profile) float64 {
+	return MeasureFunc(func(a, b *profile.Profile) float64 {
 		var s float64
 		for i, m := range measures {
-			s += weights[i] * m(a, b)
+			s += weights[i] * m.Score(a, b)
 		}
 		if total == 0 {
 			return 0
 		}
 		return s / total
-	}
+	})
 }
 
 // ScorePairs scores every candidate pair without thresholding; used by the
 // debug workflow and the supervised tuner.
 func ScorePairs(c *profile.Collection, pairs []blocking.Pair, measure Measure) []Match {
+	score := scorerFor(c, pairs, measure)
 	out := make([]Match, 0, len(pairs))
 	for _, p := range pairs {
-		out = append(out, Match{A: p.A, B: p.B, Score: measure(c.Get(p.A), c.Get(p.B))})
+		out = append(out, Match{A: p.A, B: p.B, Score: score(p.A, p.B)})
 	}
 	return out
 }
@@ -88,9 +79,10 @@ func ScorePairs(c *profile.Collection, pairs []blocking.Pair, measure Measure) [
 // MatchPairs scores candidate pairs and keeps those at or above the
 // threshold, sorted by (A, B).
 func MatchPairs(c *profile.Collection, pairs []blocking.Pair, measure Measure, threshold float64) []Match {
+	scoreOf := scorerFor(c, pairs, measure)
 	var out []Match
 	for _, p := range pairs {
-		score := measure(c.Get(p.A), c.Get(p.B))
+		score := scoreOf(p.A, p.B)
 		if score >= threshold {
 			out = append(out, Match{A: p.A, B: p.B, Score: score})
 		}
@@ -99,16 +91,16 @@ func MatchPairs(c *profile.Collection, pairs []blocking.Pair, measure Measure, t
 	return out
 }
 
-// MatchPairsDistributed is MatchPairs on the dataflow engine: the profile
-// store is broadcast and candidate pairs are scored partition-parallel,
-// mirroring how SparkER invokes a matcher over the blocker's output.
+// MatchPairsDistributed is MatchPairs on the dataflow engine: the measure
+// bound to the collection is broadcast and candidate pairs are scored
+// partition-parallel, mirroring how SparkER invokes a matcher over the
+// blocker's output.
 func MatchPairsDistributed(ctx *dataflow.Context, c *profile.Collection, pairs []blocking.Pair,
 	measure Measure, threshold float64, numPartitions int) ([]Match, error) {
-	bprofiles := dataflow.NewBroadcast(ctx, c)
+	bscorer := dataflow.NewBroadcast(ctx, scorerFor(c, pairs, measure))
 	rdd := dataflow.Parallelize(ctx, pairs, numPartitions)
 	scored := dataflow.FlatMap(rdd, func(p blocking.Pair) []Match {
-		col := bprofiles.Value()
-		score := measure(col.Get(p.A), col.Get(p.B))
+		score := bscorer.Value()(p.A, p.B)
 		if score < threshold {
 			return nil
 		}
@@ -146,11 +138,15 @@ func TuneThreshold(c *profile.Collection, labeled []LabeledPair, measure Measure
 		score   float64
 		isMatch bool
 	}
+	pairs := make([]blocking.Pair, len(labeled))
+	for i, lp := range labeled {
+		pairs[i] = lp.Pair
+	}
+	score := scorerFor(c, pairs, measure)
 	items := make([]scored, 0, len(labeled))
 	positives := 0
 	for _, lp := range labeled {
-		s := measure(c.Get(lp.Pair.A), c.Get(lp.Pair.B))
-		items = append(items, scored{score: s, isMatch: lp.IsMatch})
+		items = append(items, scored{score: score(lp.Pair.A, lp.Pair.B), isMatch: lp.IsMatch})
 		if lp.IsMatch {
 			positives++
 		}

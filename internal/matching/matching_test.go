@@ -2,7 +2,11 @@ package matching
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,14 +210,14 @@ func TestMatchPairsDistributedMatchesSequential(t *testing.T) {
 
 func TestEnsemble(t *testing.T) {
 	c := mkCollection()
-	m1 := func(a, b *profile.Profile) float64 { return 1 }
-	m2 := func(a, b *profile.Profile) float64 { return 0 }
+	m1 := MeasureFunc(func(a, b *profile.Profile) float64 { return 1 })
+	m2 := MeasureFunc(func(a, b *profile.Profile) float64 { return 0 })
 	e := Ensemble([]Measure{m1, m2}, nil)
-	if got := e(c.Get(0), c.Get(2)); !almostEqual(got, 0.5) {
+	if got := e.Score(c.Get(0), c.Get(2)); !almostEqual(got, 0.5) {
 		t.Fatalf("uniform ensemble=%f", got)
 	}
 	w := Ensemble([]Measure{m1, m2}, []float64{3, 1})
-	if got := w(c.Get(0), c.Get(2)); !almostEqual(got, 0.75) {
+	if got := w.Score(c.Get(0), c.Get(2)); !almostEqual(got, 0.75) {
 		t.Fatalf("weighted ensemble=%f", got)
 	}
 }
@@ -221,7 +225,7 @@ func TestEnsemble(t *testing.T) {
 func TestAttributeMeasure(t *testing.T) {
 	c := mkCollection()
 	m := AttributeMeasure("name", "name", LevenshteinSimilarity)
-	if got := m(c.Get(0), c.Get(2)); got <= 0.5 {
+	if got := m.Score(c.Get(0), c.Get(2)); got <= 0.5 {
 		t.Fatalf("attribute measure=%f", got)
 	}
 }
@@ -302,5 +306,261 @@ func TestProfileBag(t *testing.T) {
 	want := []string{"alpha", "beta", "beta", "gamma"}
 	if !reflect.DeepEqual(bag, want) {
 		t.Fatalf("bag=%v", bag)
+	}
+}
+
+// The map-based set scorers below are the reference the sorted-set
+// kernel must reproduce bit for bit: the same cardinalities fed to the
+// same float expressions.
+
+func refSet(tokens []string) map[string]bool {
+	s := make(map[string]bool, len(tokens))
+	for _, t := range tokens {
+		s[t] = true
+	}
+	return s
+}
+
+func refInter(as, bs map[string]bool) int {
+	inter := 0
+	for t := range as {
+		if bs[t] {
+			inter++
+		}
+	}
+	return inter
+}
+
+func refJaccard(a, b []string) float64 {
+	as, bs := refSet(a), refSet(b)
+	if len(as) == 0 && len(bs) == 0 {
+		return 0
+	}
+	inter := refInter(as, bs)
+	union := len(as) + len(bs) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+func refDice(a, b []string) float64 {
+	as, bs := refSet(a), refSet(b)
+	if len(as)+len(bs) == 0 {
+		return 0
+	}
+	return 2 * float64(refInter(as, bs)) / float64(len(as)+len(bs))
+}
+
+func refOverlap(a, b []string) float64 {
+	as, bs := refSet(a), refSet(b)
+	minLen := len(as)
+	if len(bs) < minLen {
+		minLen = len(bs)
+	}
+	if minLen == 0 {
+		return 0
+	}
+	return float64(refInter(as, bs)) / float64(minLen)
+}
+
+// setVocab mixes ASCII, accented, non-Latin and numeric tokens; a small
+// vocabulary makes overlaps and duplicates common.
+var setVocab = []string{"acme", "turbo", "widget", "café", "naïve", "東京", "straße", "αβγ", "5000", "x", "été", "ünïcode"}
+
+func randomBag(rng *rand.Rand) []string {
+	bag := make([]string, rng.Intn(8))
+	for i := range bag {
+		bag[i] = setVocab[rng.Intn(len(setVocab))]
+	}
+	return bag
+}
+
+// randomSetCollection builds a dirty collection of random profiles plus
+// the edge cases: no attributes, an empty value, one token repeated, and
+// mixed-case non-ASCII values the tokenizer folds together.
+func randomSetCollection(rng *rand.Rand, n int) *profile.Collection {
+	var ps []profile.Profile
+	add := func(values ...string) {
+		p := profile.Profile{OriginalID: strconv.Itoa(len(ps))}
+		for i, v := range values {
+			p.Add("attr"+strconv.Itoa(i), v)
+		}
+		ps = append(ps, p)
+	}
+	add()
+	add("")
+	add("widget widget WIDGET widget")
+	add("Café NAÏVE", "café 東京")
+	add("ÉTÉ été, été!")
+	for len(ps) < n {
+		values := make([]string, rng.Intn(3))
+		for i := range values {
+			values[i] = strings.Join(randomBag(rng), " ")
+		}
+		add(values...)
+	}
+	return profile.NewDirty(ps)
+}
+
+func allPairs(c *profile.Collection) []blocking.Pair {
+	var pairs []blocking.Pair
+	for a := 0; a < c.Size(); a++ {
+		for b := a + 1; b < c.Size(); b++ {
+			pairs = append(pairs, blocking.Pair{A: profile.ID(a), B: profile.ID(b)})
+		}
+	}
+	return pairs
+}
+
+var setCases = []struct {
+	name    string
+	measure func(tokenize.Options) SetMeasure
+	ref     func(a, b []string) float64
+	tokens  func(a, b []string) float64
+}{
+	{"jaccard", JaccardMeasure, refJaccard, JaccardTokens},
+	{"dice", DiceMeasure, refDice, DiceTokens},
+	{"overlap", func(tok tokenize.Options) SetMeasure { return SetMeasure{tok: tok, formula: overlap} }, refOverlap, OverlapTokens},
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestSetMeasuresMatchMapReference pins every sorted-set path — the
+// bound scorer behind MatchPairs and ScorePairs, SetMeasure.Score and the
+// *Tokens functions — to the map-based reference, bit for bit.
+func TestSetMeasuresMatchMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := randomSetCollection(rng, 40)
+	pairs := allPairs(c)
+	tok := tokenize.Options{}
+	for _, tc := range setCases {
+		m := tc.measure(tok)
+		scored := ScorePairs(c, pairs, m)
+		matched := MatchPairs(c, pairs, m, 0) // every score is >= 0
+		if len(scored) != len(pairs) || len(matched) != len(pairs) {
+			t.Fatalf("%s: scored %d matched %d of %d pairs", tc.name, len(scored), len(matched), len(pairs))
+		}
+		for i, p := range pairs {
+			a, b := c.Get(p.A), c.Get(p.B)
+			want := tc.ref(ProfileBag(a, tok), ProfileBag(b, tok))
+			for path, got := range map[string]float64{
+				"ScorePairs": scored[i].Score,
+				"MatchPairs": matched[i].Score,
+				"Score":      m.Score(a, b),
+			} {
+				if !sameBits(got, want) {
+					t.Fatalf("%s %s(%v, %v) = %v, reference %v", tc.name, path, a.Attributes, b.Attributes, got, want)
+				}
+			}
+		}
+
+		bags := [][]string{nil, {}, {"x", "x", "x"}, {"café", "東京", "café"}, {""}}
+		for i := 0; i < 500; i++ {
+			bags = append(bags, randomBag(rng))
+		}
+		for i, a := range bags {
+			b := bags[(i*7+3)%len(bags)]
+			for _, pair := range [][2][]string{{a, b}, {a, a}, {a, nil}, {nil, a}} {
+				x, y := pair[0], pair[1]
+				x0, y0 := slices.Clone(x), slices.Clone(y)
+				if got, want := tc.tokens(x, y), tc.ref(x, y); !sameBits(got, want) {
+					t.Fatalf("%sTokens(%q, %q) = %v, reference %v", tc.name, x, y, got, want)
+				}
+				if !slices.Equal(x, x0) || !slices.Equal(y, y0) {
+					t.Fatalf("%sTokens modified its input: %q %q", tc.name, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundScorerMatchesGenericPath checks that binding a SetMeasure
+// changes nothing against the same measure called per pair: sequential
+// and distributed matching, and threshold tuning.
+func TestBoundScorerMatchesGenericPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	c := randomSetCollection(rng, 50)
+	pairs := allPairs(c)
+	ctx := dataflow.NewContext(dataflow.WithParallelism(2))
+	defer ctx.Close()
+	for _, tc := range setCases {
+		m := tc.measure(tokenize.Options{})
+		generic := MeasureFunc(m.Score)
+		// A sparse subset, two matches and a non-match, leaves most
+		// profiles unbound.
+		all := MatchPairs(c, pairs, generic, 0.2)
+		if len(all) < 2 {
+			t.Fatalf("%s: only %d matches in the random collection", tc.name, len(all))
+		}
+		sparse := []blocking.Pair{{A: all[0].A, B: all[0].B}, {A: 0, B: 1}, {A: all[1].A, B: all[1].B}}
+		for _, ps := range [][]blocking.Pair{pairs, sparse} {
+			want := MatchPairs(c, ps, generic, 0.2)
+			if got := MatchPairs(c, ps, m, 0.2); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: bound MatchPairs differs from the generic path", tc.name)
+			}
+			for _, measure := range []Measure{m, generic} {
+				dist, err := MatchPairsDistributed(ctx, c, ps, measure, 0.2, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(dist, want) {
+					t.Fatalf("%s: MatchPairsDistributed(%T) = %v, MatchPairs %v", tc.name, measure, dist, want)
+				}
+			}
+		}
+		labeled := make([]LabeledPair, len(pairs))
+		for i, p := range pairs {
+			labeled[i] = LabeledPair{Pair: p, IsMatch: rng.Intn(3) == 0}
+		}
+		th, f1 := TuneThreshold(c, labeled, m)
+		gth, gf1 := TuneThreshold(c, labeled, generic)
+		if !sameBits(th, gth) || !sameBits(f1, gf1) {
+			t.Fatalf("%s: TuneThreshold bound (%v, %v) generic (%v, %v)", tc.name, th, f1, gth, gf1)
+		}
+	}
+}
+
+// TestComposedMeasuresUnchanged pins Ensemble and AttributeMeasure to
+// the formulas they compute, over set measures and plain functions.
+func TestComposedMeasuresUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	c := randomSetCollection(rng, 30)
+	pairs := allPairs(c)
+	tok := tokenize.Options{}
+	e := Ensemble([]Measure{JaccardMeasure(tok), DiceMeasure(tok)}, []float64{3, 1})
+	attr := AttributeMeasure("attr0", "attr0", LevenshteinSimilarity)
+	scored := ScorePairs(c, pairs, e)
+	for i, p := range pairs {
+		a, b := c.Get(p.A), c.Get(p.B)
+		ba, bb := ProfileBag(a, tok), ProfileBag(b, tok)
+		want := (3*refJaccard(ba, bb) + 1*refDice(ba, bb)) / 4
+		if got := e.Score(a, b); !sameBits(got, want) || !sameBits(scored[i].Score, want) {
+			t.Fatalf("ensemble(%d, %d) = %v / %v, want %v", p.A, p.B, got, scored[i].Score, want)
+		}
+		if got, want := attr.Score(a, b), LevenshteinSimilarity(a.Value("attr0"), b.Value("attr0")); !sameBits(got, want) {
+			t.Fatalf("attribute(%d, %d) = %v, want %v", p.A, p.B, got, want)
+		}
+	}
+}
+
+func TestIntersectSorted(t *testing.T) {
+	cases := []struct {
+		a, b []int
+		want int
+	}{
+		{nil, nil, 0},
+		{[]int{1, 2, 3}, nil, 0},
+		{[]int{1, 3, 5, 7}, []int{2, 3, 4, 7, 9}, 2},
+		{[]int{1, 2, 3}, []int{1, 2, 3}, 3},
+		{[]int{-5, 0}, []int{-5}, 1},
+	}
+	for _, c := range cases {
+		if got := IntersectSorted(c.a, c.b); got != c.want {
+			t.Errorf("IntersectSorted(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := IntersectSorted(c.b, c.a); got != c.want {
+			t.Errorf("IntersectSorted(%v, %v) = %d, want %d", c.b, c.a, got, c.want)
+		}
 	}
 }

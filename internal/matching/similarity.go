@@ -19,68 +19,13 @@ import (
 
 // JaccardTokens computes |A∩B|/|A∪B| over two token multisets (duplicates
 // ignored).
-func JaccardTokens(a, b []string) float64 {
-	as := toSet(a)
-	bs := toSet(b)
-	if len(as) == 0 && len(bs) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range as {
-		if bs[t] {
-			inter++
-		}
-	}
-	union := len(as) + len(bs) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
+func JaccardTokens(a, b []string) float64 { return SetMeasure{formula: jaccard}.ofBags(a, b) }
 
 // DiceTokens computes 2|A∩B|/(|A|+|B|).
-func DiceTokens(a, b []string) float64 {
-	as := toSet(a)
-	bs := toSet(b)
-	if len(as)+len(bs) == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range as {
-		if bs[t] {
-			inter++
-		}
-	}
-	return 2 * float64(inter) / float64(len(as)+len(bs))
-}
+func DiceTokens(a, b []string) float64 { return SetMeasure{formula: dice}.ofBags(a, b) }
 
 // OverlapTokens computes |A∩B|/min(|A|,|B|).
-func OverlapTokens(a, b []string) float64 {
-	as := toSet(a)
-	bs := toSet(b)
-	minLen := len(as)
-	if len(bs) < minLen {
-		minLen = len(bs)
-	}
-	if minLen == 0 {
-		return 0
-	}
-	inter := 0
-	for t := range as {
-		if bs[t] {
-			inter++
-		}
-	}
-	return float64(inter) / float64(minLen)
-}
-
-func toSet(tokens []string) map[string]bool {
-	s := make(map[string]bool, len(tokens))
-	for _, t := range tokens {
-		s[t] = true
-	}
-	return s
-}
+func OverlapTokens(a, b []string) float64 { return SetMeasure{formula: overlap}.ofBags(a, b) }
 
 // Levenshtein computes the edit distance between two strings.
 func Levenshtein(a, b string) int {

@@ -5,6 +5,7 @@ package tokenize
 
 import (
 	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -84,6 +85,18 @@ type Scratch struct {
 	buf    []byte
 	intern map[string]string
 }
+
+// scratchPool holds the warm scratches that per-call hot paths lease:
+// blocking-key derivation and the online scorer's query set tokenize the
+// same vocabulary, so sharing one pool keeps one intern table per P.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+// GetScratch leases a pooled Scratch. Return it with PutScratch once
+// done; tokens it produced stay valid.
+func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// PutScratch returns a scratch leased with GetScratch.
+func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
 // maxInterned bounds the intern table; past it the table is dropped and
 // rebuilt, so a pathological unbounded vocabulary cannot pin memory.

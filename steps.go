@@ -145,6 +145,10 @@ func RecomputeEntropies(p *Partitioning, aps []*AttributeProfile) {
 // Measure scores the similarity of two profiles in [0, 1].
 type Measure = matching.Measure
 
+// MeasureFunc adapts a plain scoring function to Measure:
+// sparker.MeasureFunc(f).
+type MeasureFunc = matching.MeasureFunc
+
 // LabeledPair is a supervised training example.
 type LabeledPair = matching.LabeledPair
 
