@@ -268,11 +268,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 // (BENCH_hotpath.json); allocs/op is the number the flat neighbourhood
 // kernel is accountable for.
 func BenchmarkMetablockingSequential(b *testing.B) {
-	d := benchDataset(b)
-	part := looseschema.Partition(d.Collection, looseschema.Options{Threshold: 0.3})
-	filtered := blocking.Filter(blocking.PurgeBySize(
-		blocking.TokenBlocking(d.Collection, blocking.Options{Clustering: part}), 0.5), 0.8)
-	idx := blocking.BuildIndex(filtered)
+	idx, part := benchBlockIndex(benchDataset(b).Collection)
 	for _, s := range []metablocking.Scheme{metablocking.CBS, metablocking.JS, metablocking.EJS} {
 		b.Run(s.String(), func(b *testing.B) {
 			b.ReportAllocs()
@@ -286,11 +282,7 @@ func BenchmarkMetablockingSequential(b *testing.B) {
 // BenchmarkMetablockingDistributed times the broadcast-join meta-blocker
 // with the per-task pooled scratches.
 func BenchmarkMetablockingDistributed(b *testing.B) {
-	d := benchDataset(b)
-	part := looseschema.Partition(d.Collection, looseschema.Options{Threshold: 0.3})
-	filtered := blocking.Filter(blocking.PurgeBySize(
-		blocking.TokenBlocking(d.Collection, blocking.Options{Clustering: part}), 0.5), 0.8)
-	idx := blocking.BuildIndex(filtered)
+	idx, part := benchBlockIndex(benchDataset(b).Collection)
 	ctx := dataflow.NewContext(dataflow.WithParallelism(4))
 	defer ctx.Close()
 	b.ReportAllocs()
@@ -302,6 +294,46 @@ func BenchmarkMetablockingDistributed(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMetablockingDistributedBlast times the broadcast-join
+// meta-blocker under the pipeline's default rule (CBS, entropy on, Blast
+// pruning, as in core.DefaultConfig), on the clean-clean benchmark and on
+// a dirty collection of about the same size. In a dirty task each edge is
+// weighed by its lower-ID endpoint, so low-ID partitions own more edges:
+// the dirty row measures that skew.
+func BenchmarkMetablockingDistributedBlast(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		col  func() *profile.Collection
+	}{
+		{"clean-clean", func() *profile.Collection { return benchDataset(b).Collection }},
+		{"dirty", func() *profile.Collection { return datagen.GenerateDirty(1100, 1234).Collection }},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			idx, part := benchBlockIndex(in.col())
+			ctx := dataflow.NewContext(dataflow.WithParallelism(4))
+			defer ctx.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := metablocking.RunDistributed(ctx, idx, metablocking.Options{
+					Scheme: metablocking.CBS, Pruning: metablocking.BlastPruning, Entropy: part,
+				}, 8); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchBlockIndex runs the default blocking front end (loose-schema token
+// blocking, purging, filtering) the meta-blocking benchmarks start from.
+func benchBlockIndex(c *profile.Collection) (*blocking.Index, *looseschema.Partitioning) {
+	part := looseschema.Partition(c, looseschema.Options{Threshold: 0.3})
+	filtered := blocking.Filter(blocking.PurgeBySize(
+		blocking.TokenBlocking(c, blocking.Options{Clustering: part}), 0.5), 0.8)
+	return blocking.BuildIndex(filtered), part
 }
 
 // BenchmarkTokenBlocking times the parallel sharded block construction.

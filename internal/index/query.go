@@ -95,15 +95,13 @@ type QueryResult struct {
 }
 
 // candAcc accumulates the per-candidate co-occurrence statistics the
-// weight schemes need, mirroring metablocking's edge accumulator.
-// buckets counts shared LSH buckets; a candidate with cbs zero and
-// buckets non-zero was found by the probe alone.
+// weight schemes need, the same EdgeStats the batch meta-blocker
+// accumulates per neighbour. buckets counts shared LSH buckets; a
+// candidate with CBS zero and buckets non-zero was found by the probe
+// alone.
 type candAcc struct {
-	cbs        int
-	arcs       float64
-	entropySum float64
-	entArcs    float64
-	buckets    int
+	metablocking.EdgeStats
+	buckets int
 }
 
 // keyBufPool recycles the per-query blocking-key buffers of Query.
@@ -281,10 +279,10 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 					continue
 				}
 				a := sc.Slot(id)
-				a.cbs++
-				a.arcs += 1 / card
-				a.entropySum += entropy
-				a.entArcs += entropy / card
+				a.CBS++
+				a.ARCS += 1 / card
+				a.EntropySum += entropy
+				a.EntARCS += entropy / card
 			}
 		}
 		if x.clean {
@@ -411,11 +409,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 	numBlocks := float64(x.numBlocks.Load())
 	// Only the ratio schemes need each candidate's block count; CBS and
 	// ARCS skip the per-candidate profile lookups entirely.
-	needsCandKeys := false
-	switch x.cfg.Scheme {
-	case metablocking.ECBS, metablocking.JS, metablocking.EJS:
-		needsCandKeys = true
-	}
+	needsCandKeys := x.cfg.Scheme.UsesBlockCounts()
 	jaccardProbe := qsig != nil && x.cfg.LSH.Weight == LSHWeightJaccard
 	// byID is the only index-wide state the loop reads: the default CBS
 	// configuration weighs without the profile lock, leaving upserts free.
@@ -441,7 +435,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 		}
 		a := sc.At(id)
 		var c Candidate
-		if a.cbs == 0 {
+		if a.CBS == 0 {
 			// Probe-only candidate: reachable only when an LSH probe ran.
 			w := float64(a.buckets)
 			if jaccardProbe {
@@ -461,8 +455,8 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 			}
 			c = Candidate{
 				ID:            id,
-				Weight:        x.weight(a, queryKeys, candKeys, numBlocks),
-				SharedKeys:    a.cbs,
+				Weight:        x.weight(&a.EdgeStats, queryKeys, candKeys, numBlocks),
+				SharedKeys:    int(a.CBS),
 				SharedBuckets: a.buckets,
 			}
 		}
@@ -528,44 +522,11 @@ func offerTopK(h []Candidate, c Candidate) []Candidate {
 	}
 }
 
-// weight mirrors metablocking's edge weighting for one query/candidate
-// pair. EJS needs the full graph's node degrees, which an online index
-// does not maintain, so it degrades to JS.
-func (x *Index) weight(a *candAcc, queryKeys, candKeys int, numBlocks float64) float64 {
-	cbs := float64(a.cbs)
-	if cbs == 0 {
-		return 0
-	}
-	useEntropy := x.cfg.Entropy != nil
-	meanEntropy := a.entropySum / cbs
-	switch x.cfg.Scheme {
-	case metablocking.ECBS:
-		w := cbs * metablocking.LogRatio(numBlocks, float64(queryKeys)) * metablocking.LogRatio(numBlocks, float64(candKeys))
-		if useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case metablocking.JS, metablocking.EJS:
-		union := float64(queryKeys) + float64(candKeys) - cbs
-		if union <= 0 {
-			return 0
-		}
-		w := cbs / union
-		if useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case metablocking.ARCS:
-		if useEntropy {
-			return a.entArcs
-		}
-		return a.arcs
-	default: // CBS
-		if useEntropy {
-			return a.entropySum
-		}
-		return cbs
-	}
+// weight is metablocking's edge weight of one query/candidate pair. EJS
+// needs the full graph's node degrees, which an online index does not
+// maintain: it passes a degree factor of 1, so EJS weighs as JS.
+func (x *Index) weight(st *metablocking.EdgeStats, queryKeys, candKeys int, numBlocks float64) float64 {
+	return metablocking.Weight(x.cfg.Scheme, x.cfg.Entropy != nil, st, queryKeys, candKeys, numBlocks, 1)
 }
 
 // prune ranks the weighed candidates best-first and applies the

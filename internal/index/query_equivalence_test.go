@@ -93,10 +93,10 @@ func refCandidates(x *Index, p *profile.Profile) ([]Candidate, int) {
 					continue
 				}
 				a := acc[id]
-				a.cbs++
-				a.arcs += 1 / card
-				a.entropySum += entropy
-				a.entArcs += entropy / card
+				a.CBS++
+				a.ARCS += 1 / card
+				a.EntropySum += entropy
+				a.EntARCS += entropy / card
 				acc[id] = a
 			}
 		}
@@ -127,7 +127,7 @@ func refCandidates(x *Index, p *profile.Profile) ([]Candidate, int) {
 				candKeys = len(sp.keys)
 			}
 		}
-		out = append(out, Candidate{ID: id, Weight: x.weight(&a, liveKeys, candKeys, numBlocks), SharedKeys: a.cbs})
+		out = append(out, Candidate{ID: id, Weight: x.weight(&a.EdgeStats, liveKeys, candKeys, numBlocks), SharedKeys: int(a.CBS)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Weight != out[j].Weight {

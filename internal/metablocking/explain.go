@@ -76,7 +76,7 @@ func Explain(idx *blocking.Index, opts Options, a, b profile.ID) PairExplanation
 	// Weight via the edge accumulator of a's neighbourhood.
 	s := g.scratch.get()
 	defer g.scratch.put(s)
-	g.neighbourhood(a, s)
+	g.neighbourhood(a, false, s)
 	ea := s.Lookup(b)
 	if ea == nil {
 		return out

@@ -1,6 +1,7 @@
 package metablocking
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,7 +77,7 @@ func TestExplainUnrelatedPair(t *testing.T) {
 	s := g.scratch.get()
 	defer g.scratch.put(s)
 	for _, a := range ids {
-		g.neighbourhood(a, s)
+		g.neighbourhood(a, false, s)
 		for _, b := range ids {
 			if b <= a {
 				continue
@@ -101,5 +102,56 @@ func TestExplainCanonicalisesOrder(t *testing.T) {
 	ex2 := Explain(idx, opts, ids[1], ids[0])
 	if ex1.A != ex2.A || ex1.B != ex2.B || ex1.Weight != ex2.Weight {
 		t.Fatalf("order changed the explanation: %+v vs %+v", ex1, ex2)
+	}
+}
+
+// TestExplainBlastMatchesRun checks Explain against Run's Blast pass on
+// every edge of the graph, kept or dropped: the same weight, the same
+// edge-wise node thresholds, and the same retention decision.
+func TestExplainBlastMatchesRun(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		idx := clusteredTestIndex(40, 23, clean)
+		ids := idx.ProfileIDs()
+		for _, useEntropy := range []bool{false, true} {
+			for _, s := range allSchemes() {
+				opts := Options{Scheme: s, Pruning: BlastPruning}
+				if useEntropy {
+					opts.Entropy = rampEntropy{}
+				}
+				retained := map[[2]profile.ID]bool{}
+				for _, e := range Run(idx, opts) {
+					retained[[2]profile.ID{e.A, e.B}] = true
+				}
+				g := newGraphContext(idx, opts)
+				if needsDegrees(s) {
+					g.computeDegrees(ids)
+				}
+				thresholds := blastThresholds(blastMaxima(g, g.owners(ids)), g.scratch.n)
+				kept, dropped := 0, 0
+				forEachEdge(g, ids, func(a, b profile.ID, w float64) {
+					ex := Explain(idx, opts, a, b)
+					label := fmt.Sprintf("clean=%v entropy=%v %v (%d,%d)", clean, useEntropy, s, a, b)
+					if math.Float64bits(ex.Weight) != math.Float64bits(w) {
+						t.Fatalf("%s: explained weight %g, Run weighs %g", label, ex.Weight, w)
+					}
+					if math.Float64bits(ex.ThresholdA) != math.Float64bits(thresholds[a]) ||
+						math.Float64bits(ex.ThresholdB) != math.Float64bits(thresholds[b]) {
+						t.Fatalf("%s: explained thresholds (%g, %g), Run's (%g, %g)",
+							label, ex.ThresholdA, ex.ThresholdB, thresholds[a], thresholds[b])
+					}
+					if ex.Retained != retained[[2]profile.ID{a, b}] {
+						t.Fatalf("%s: explanation says retained=%v, Run says %v", label, ex.Retained, !ex.Retained)
+					}
+					if ex.Retained {
+						kept++
+					} else {
+						dropped++
+					}
+				})
+				if kept == 0 || dropped == 0 {
+					t.Fatalf("clean=%v entropy=%v %v: %d kept, %d dropped; want both", clean, useEntropy, s, kept, dropped)
+				}
+			}
+		}
 	}
 }

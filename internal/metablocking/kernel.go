@@ -1,7 +1,6 @@
 package metablocking
 
 import (
-	"sort"
 	"sync"
 
 	"sparker/internal/kernel"
@@ -9,13 +8,13 @@ import (
 
 // neighbourScratch is the flat-array neighbourhood kernel: the
 // allocation-free replacement of the historical
-// map[profile.ID]*edgeAccumulator, instantiated from the shared
+// map[profile.ID]*EdgeStats, instantiated from the shared
 // kernel.Scratch primitive (dense ID-indexed slots, epoch-stamped
 // O(touched) clears). One scratch serves one worker at a time: the
 // sequential Run reuses a single one, RunDistributed leases one per
 // dataflow task from the graphContext's sync.Pool.
 type neighbourScratch struct {
-	kernel.Scratch[edgeAccumulator]
+	kernel.Scratch[EdgeStats]
 	// nws is the reusable buffer weightedNeighbours returns; callers must
 	// consume it before the next weightedNeighbours call on this scratch.
 	nws []neighbourWeight
@@ -25,23 +24,7 @@ type neighbourScratch struct {
 
 // newNeighbourScratch sizes a scratch for profile IDs in [0, n).
 func newNeighbourScratch(n int) *neighbourScratch {
-	return &neighbourScratch{Scratch: *kernel.NewScratch[edgeAccumulator](n)}
-}
-
-// kthLargestWeight returns the k-th largest weight of a neighbourhood
-// (clamped to its size), the top-k membership threshold of CNP, using the
-// scratch's reusable weight buffer.
-func (s *neighbourScratch) kthLargestWeight(nws []neighbourWeight, k int) float64 {
-	weights := s.wbuf[:0]
-	for _, nw := range nws {
-		weights = append(weights, nw.w)
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(weights)))
-	s.wbuf = weights
-	if k > len(weights) {
-		k = len(weights)
-	}
-	return weights[k-1]
+	return &neighbourScratch{Scratch: *kernel.NewScratch[EdgeStats](n)}
 }
 
 // scratchPool hands out neighbourScratches sized for one graphContext.

@@ -7,12 +7,13 @@
 // node-local threshold. The surviving edges are the candidate pairs handed
 // to the entity matcher.
 //
-// Three implementations share the same semantics: a sequential
-// node-centric one, a distributed broadcast-join one (the paper's parallel
-// algorithm: partition the nodes, broadcast the block index, materialise
-// one node neighbourhood at a time), and a naive distributed baseline that
-// materialises every edge through the shuffle, used to quantify what the
-// broadcast-join design saves.
+// Run and RunDistributed share one implementation: the same pass bodies,
+// called on the whole node list sequentially, or once per partition on
+// the dataflow engine (the paper's parallel algorithm: partition the
+// nodes, broadcast the block index, materialise one node neighbourhood at
+// a time). Each pass weighs every undirected edge once, from its owner
+// endpoint. A naive distributed baseline that materialises every edge
+// through the shuffle quantifies what the broadcast-join design saves.
 package metablocking
 
 import (
@@ -55,6 +56,10 @@ func (s Scheme) String() string {
 	}
 	return "unknown"
 }
+
+// UsesBlockCounts reports whether the scheme's weight reads |B_a| and
+// |B_b|, the number of blocks of each endpoint (see Weight).
+func (s Scheme) UsesBlockCounts() bool { return s == ECBS || s == JS || s == EJS }
 
 // Pruning selects the edge-pruning rule.
 type Pruning int
@@ -126,12 +131,14 @@ type Edge struct {
 	Weight float64
 }
 
-// edgeAccumulator gathers the per-pair statistics a weight scheme needs.
-type edgeAccumulator struct {
-	cbs        int32   // number of shared blocks
-	arcs       float64 // Σ 1/||b|| over shared blocks
-	entropySum float64 // Σ entropy(cluster(b)) over shared blocks
-	entArcs    float64 // Σ entropy/||b||
+// EdgeStats are the statistics of the blocks two profiles share, the
+// input every weight scheme is computed from. The batch meta-blocker
+// accumulates them per neighbour, the online index per candidate.
+type EdgeStats struct {
+	CBS        int32   // number of shared blocks
+	ARCS       float64 // Σ 1/||b|| over shared blocks
+	EntropySum float64 // Σ entropy(cluster(b)) over shared blocks
+	EntARCS    float64 // Σ entropy/||b|| over shared blocks
 }
 
 // graphContext caches everything the weighting functions need.
@@ -176,35 +183,73 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 	return g
 }
 
-// neighbourhood materialises the weighted neighbourhood of node id into
-// the flat scratch (cleared first via its epoch). Pairs within the same
-// source of a clean-clean task are skipped: each BlockRef carries the
-// profile's side, so the kernel reads the opposite side of every block
-// directly instead of scanning for the profile's membership.
-func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) {
+// neighbourhood accumulates the edge statistics of node id into the flat
+// scratch (cleared first via its epoch) and returns the touched
+// neighbours in first-touch order. With owned set it accumulates only the
+// edges id owns, so that a pass weighs each undirected edge once, from
+// one endpoint:
+//
+//   - in a clean-clean task a side-A node owns all its edges (its
+//     neighbours are all on side B), and a side-B node owns none;
+//   - in a dirty task a node owns the edges to its higher-ID neighbours.
+//
+// Pairs within the same source of a clean-clean task are never edges:
+// each BlockRef carries the profile's side, so the kernel reads the
+// opposite side of every block directly instead of scanning for the
+// profile's membership.
+func (g *graphContext) neighbourhood(id profile.ID, owned bool, s *neighbourScratch) []profile.ID {
 	s.Begin()
 	col := g.idx.Blocks
+	// A member other is skipped when 0 <= id-other < skip: the node
+	// itself, or, for a dirty node's owned edges, the node and every
+	// lower ID.
+	skip := uint32(1)
+	if owned && !col.CleanClean {
+		skip = uint32(id) + 1
+	}
 	for _, ref := range g.idx.BlocksOf(id) {
 		bi := ref.Ordinal()
 		b := &col.Blocks[bi]
 		others := b.A
-		if col.CleanClean && !ref.SideB() {
-			others = b.B
+		if col.CleanClean {
+			if !ref.SideB() {
+				others = b.B
+			} else if owned {
+				break
+			}
 		}
 		arcs := 1 / g.comparison[bi]
 		ent := g.entropy[bi]
 		entArcs := ent / g.comparison[bi]
 		for _, other := range others {
-			if other == id {
+			if uint32(id-other) < skip {
 				continue
 			}
 			a := s.Slot(other)
-			a.cbs++
-			a.arcs += arcs
-			a.entropySum += ent
-			a.entArcs += entArcs
+			a.CBS++
+			a.ARCS += arcs
+			a.EntropySum += ent
+			a.EntARCS += entArcs
 		}
 	}
+	return s.Touched()
+}
+
+// owners lists the nodes of ids that own edges (see neighbourhood): the
+// side-A nodes of a clean-clean task, every node of a dirty one. The
+// owner passes partition this list, not ids, so that no task is handed
+// only nodes that own nothing.
+func (g *graphContext) owners(ids []profile.ID) []profile.ID {
+	if !g.idx.Blocks.CleanClean {
+		return ids
+	}
+	out := make([]profile.ID, 0, len(ids)/2)
+	for _, id := range ids {
+		if refs := g.idx.BlocksOf(id); len(refs) > 0 && !refs[0].SideB() {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // neighbourWeight is one weighted edge endpoint, used wherever weights
@@ -216,12 +261,12 @@ type neighbourWeight struct {
 	w  float64
 }
 
-// weightedNeighbours materialises the neighbourhood of id and returns its
-// weighted edges sorted by neighbour ID. The returned slice aliases the
-// scratch's reusable buffer: consume it before the next call on the same
-// scratch.
+// weightedNeighbours materialises the full neighbourhood of id and
+// returns its weighted edges sorted by neighbour ID, for the consumers
+// that sum weights. The returned slice aliases the scratch's reusable
+// buffer: consume it before the next call on the same scratch.
 func (g *graphContext) weightedNeighbours(id profile.ID, s *neighbourScratch) []neighbourWeight {
-	g.neighbourhood(id, s)
+	g.neighbourhood(id, false, s)
 	s.SortTouched()
 	out := s.nws[:0]
 	for _, other := range s.Touched() {
@@ -231,64 +276,81 @@ func (g *graphContext) weightedNeighbours(id profile.ID, s *neighbourScratch) []
 	return out
 }
 
-// weight computes the scheme weight of the edge (a, b) from its
-// accumulator. With entropy enabled, counting schemes replace each shared
-// block's unit contribution with the block's cluster entropy, and ratio
-// schemes are scaled by the mean entropy of the shared blocks — this is
-// the re-weighting Figure 2(c) shows.
-func (g *graphContext) weight(a, b profile.ID, acc *edgeAccumulator) float64 {
-	cbs := float64(acc.cbs)
+// weight is the scheme weight of the undirected edge {a, b}. It is
+// computed in one endpoint order, lower ID first, so that the edge
+// weighs the same bits whichever endpoint materialised it: ECBS's
+// product is not symmetric in floating point.
+func (g *graphContext) weight(a, b profile.ID, st *EdgeStats) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	var blocksA, blocksB int
+	if g.scheme.UsesBlockCounts() {
+		blocksA, blocksB = g.idx.NumBlocksOf(a), g.idx.NumBlocksOf(b)
+	}
+	degreeFactor := 1.0
+	if g.scheme == EJS {
+		degreeFactor = LogRatio(g.totalEdges, float64(g.degrees[a])) *
+			LogRatio(g.totalEdges, float64(g.degrees[b]))
+	}
+	return Weight(g.scheme, g.useEntropy, st, blocksA, blocksB, g.numBlocks, degreeFactor)
+}
+
+// Weight is the scheme weight of the edge between profiles a and b, a
+// pure function of:
+//
+//   - st, the statistics of the blocks a and b share;
+//   - blocksA and blocksB, |B_a| and |B_b| (ECBS, JS, EJS);
+//   - numBlocks, the number of blocks in the collection (ECBS);
+//   - degreeFactor, EJS's LogRatio(|E|, |v_a|)·LogRatio(|E|, |v_b|) over
+//     the node degrees of the full blocking graph.
+//
+// With entropy on, counting schemes replace each shared block's unit
+// contribution with the block's cluster entropy, and ratio schemes are
+// scaled by the mean entropy of the shared blocks — the re-weighting
+// Figure 2(c) shows. The batch meta-blocker and the online index both
+// weigh through Weight and differ only in inputs: an online index keeps
+// no graph degrees, so it passes a degree factor of 1, and its EJS
+// weighs as JS. An unknown scheme weighs 0.
+func Weight(s Scheme, entropy bool, st *EdgeStats, blocksA, blocksB int, numBlocks, degreeFactor float64) float64 {
+	cbs := float64(st.CBS)
 	if cbs == 0 {
 		return 0
 	}
-	meanEntropy := acc.entropySum / cbs
-	switch g.scheme {
+	var w float64
+	switch s {
 	case CBS:
-		if g.useEntropy {
-			return acc.entropySum
+		if entropy {
+			return st.EntropySum
 		}
 		return cbs
 	case ECBS:
-		w := cbs * LogRatio(g.numBlocks, float64(g.idx.NumBlocksOf(a))) *
-			LogRatio(g.numBlocks, float64(g.idx.NumBlocksOf(b)))
-		if g.useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case JS:
-		union := float64(g.idx.NumBlocksOf(a)) + float64(g.idx.NumBlocksOf(b)) - cbs
+		w = cbs * LogRatio(numBlocks, float64(blocksA)) * LogRatio(numBlocks, float64(blocksB))
+	case JS, EJS:
+		union := float64(blocksA) + float64(blocksB) - cbs
 		if union <= 0 {
 			return 0
 		}
-		w := cbs / union
-		if g.useEntropy {
-			w *= meanEntropy
+		w = cbs / union
+		if s == EJS {
+			w *= degreeFactor
 		}
-		return w
-	case EJS:
-		union := float64(g.idx.NumBlocksOf(a)) + float64(g.idx.NumBlocksOf(b)) - cbs
-		if union <= 0 {
-			return 0
-		}
-		w := cbs / union
-		da, db := float64(g.degrees[a]), float64(g.degrees[b])
-		w *= LogRatio(g.totalEdges, da) * LogRatio(g.totalEdges, db)
-		if g.useEntropy {
-			w *= meanEntropy
-		}
-		return w
 	case ARCS:
-		if g.useEntropy {
-			return acc.entArcs
+		if entropy {
+			return st.EntARCS
 		}
-		return acc.arcs
+		return st.ARCS
+	default:
+		return 0
 	}
-	return 0
+	if entropy {
+		w *= st.EntropySum / cbs
+	}
+	return w
 }
 
 // LogRatio is the clamped log10(total/part) factor of the ECBS and EJS
-// schemes, shared with the online index so both sides keep the same
-// clamping semantics.
+// schemes.
 func LogRatio(total, part float64) float64 {
 	if part <= 0 || total <= 0 {
 		return 0
@@ -304,23 +366,22 @@ func LogRatio(total, part float64) float64 {
 func needsDegrees(s Scheme) bool { return s == EJS }
 
 // computeDegrees fills g.degrees and g.totalEdges with the node degrees of
-// the full (unpruned) blocking graph. With the flat kernel a degree is
-// just the touched-list length, so the EJS pre-pass allocates nothing
-// beyond the dense degree array itself.
+// the full (unpruned) blocking graph, counting each edge once, at both
+// endpoints, from its owner.
 func (g *graphContext) computeDegrees(ids []profile.ID) {
 	g.degrees = make([]int32, g.scratch.n)
 	s := g.scratch.get()
 	defer g.scratch.put(s)
-	var total float64
-	for _, id := range ids {
-		g.neighbourhood(id, s)
-		g.degrees[id] = int32(len(s.Touched()))
-		total += float64(len(s.Touched()))
+	edges := 0
+	for _, id := range g.owners(ids) {
+		nb := g.neighbourhood(id, true, s)
+		g.degrees[id] += int32(len(nb))
+		for _, other := range nb {
+			g.degrees[other]++
+		}
+		edges += len(nb)
 	}
-	g.totalEdges = total / 2
-	if g.totalEdges < 1 {
-		g.totalEdges = 1
-	}
+	g.totalEdges = max(float64(edges), 1)
 }
 
 // defaultTopK derives the literature defaults for the cardinality rules.

@@ -107,3 +107,29 @@ func TestStrategyNames(t *testing.T) {
 		t.Fatal("out-of-range name")
 	}
 }
+
+// TestScheduleRandomGolden pins the first comparisons of the random
+// schedule. The shuffle permutes whatever order it is handed, so a change
+// to the order edges are weighed in would silently reshuffle it; the
+// schedule shuffles the (A, B)-sorted edge list, and these pairs are that
+// shuffle's prefix.
+func TestScheduleRandomGolden(t *testing.T) {
+	golden := map[bool][][2]profile.ID{
+		false: {{14, 22}, {4, 34}, {20, 42}, {24, 39}, {10, 19}, {19, 38}, {25, 28}, {32, 47}, {1, 25}, {14, 29},
+			{8, 9}, {7, 44}, {20, 22}, {5, 39}, {26, 38}, {22, 34}, {17, 30}, {30, 47}, {25, 26}, {6, 30}},
+		true: {{0, 34}, {7, 41}, {17, 47}, {11, 45}, {12, 44}, {18, 45}, {9, 31}, {20, 28}, {20, 30}, {0, 45},
+			{4, 45}, {23, 46}, {2, 26}, {11, 34}, {0, 44}, {4, 34}, {17, 46}, {17, 45}, {19, 35}, {11, 24}},
+	}
+	for _, clean := range []bool{false, true} {
+		edges := Schedule(clusteredTestIndex(48, 11, clean), Options{Scheme: JS}, RandomOrder, 20)
+		want := golden[clean]
+		if len(edges) != len(want) {
+			t.Fatalf("clean=%v: %d edges, want %d", clean, len(edges), len(want))
+		}
+		for i, e := range edges {
+			if [2]profile.ID{e.A, e.B} != want[i] {
+				t.Fatalf("clean=%v: edge %d is (%d,%d), want %v", clean, i, e.A, e.B, want[i])
+			}
+		}
+	}
+}

@@ -1,7 +1,10 @@
 package metablocking
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -65,7 +68,7 @@ func refContainsID(ids []profile.ID, id profile.ID) bool {
 	return false
 }
 
-func (g *refGraph) neighbourhood(id profile.ID, acc map[profile.ID]*edgeAccumulator) {
+func (g *refGraph) neighbourhood(id profile.ID, acc map[profile.ID]*EdgeStats) {
 	for k := range acc {
 		delete(acc, k)
 	}
@@ -79,13 +82,13 @@ func (g *refGraph) neighbourhood(id profile.ID, acc map[profile.ID]*edgeAccumula
 			}
 			a := acc[other]
 			if a == nil {
-				a = &edgeAccumulator{}
+				a = &EdgeStats{}
 				acc[other] = a
 			}
-			a.cbs++
-			a.arcs += 1 / g.comparison[bi]
-			a.entropySum += g.entropy[bi]
-			a.entArcs += g.entropy[bi] / g.comparison[bi]
+			a.CBS++
+			a.ARCS += 1 / g.comparison[bi]
+			a.EntropySum += g.entropy[bi]
+			a.EntARCS += g.entropy[bi] / g.comparison[bi]
 		}
 		if col.CleanClean {
 			if refContainsID(b.A, id) {
@@ -105,16 +108,16 @@ func (g *refGraph) neighbourhood(id profile.ID, acc map[profile.ID]*edgeAccumula
 	}
 }
 
-func (g *refGraph) weight(a, b profile.ID, acc *edgeAccumulator) float64 {
-	cbs := float64(acc.cbs)
+func (g *refGraph) weight(a, b profile.ID, acc *EdgeStats) float64 {
+	cbs := float64(acc.CBS)
 	if cbs == 0 {
 		return 0
 	}
-	meanEntropy := acc.entropySum / cbs
+	meanEntropy := acc.EntropySum / cbs
 	switch g.scheme {
 	case CBS:
 		if g.useEntropy {
-			return acc.entropySum
+			return acc.EntropySum
 		}
 		return cbs
 	case ECBS:
@@ -148,14 +151,14 @@ func (g *refGraph) weight(a, b profile.ID, acc *edgeAccumulator) float64 {
 		return w
 	case ARCS:
 		if g.useEntropy {
-			return acc.entArcs
+			return acc.EntARCS
 		}
-		return acc.arcs
+		return acc.ARCS
 	}
 	return 0
 }
 
-func (g *refGraph) weightedNeighbours(id profile.ID, acc map[profile.ID]*edgeAccumulator) []neighbourWeight {
+func (g *refGraph) weightedNeighbours(id profile.ID, acc map[profile.ID]*EdgeStats) []neighbourWeight {
 	g.neighbourhood(id, acc)
 	out := make([]neighbourWeight, 0, len(acc))
 	for other, ea := range acc {
@@ -167,7 +170,7 @@ func (g *refGraph) weightedNeighbours(id profile.ID, acc map[profile.ID]*edgeAcc
 
 func (g *refGraph) computeDegrees(ids []profile.ID) {
 	g.degrees = make(map[profile.ID]int, len(ids))
-	acc := map[profile.ID]*edgeAccumulator{}
+	acc := map[profile.ID]*EdgeStats{}
 	var total float64
 	for _, id := range ids {
 		g.neighbourhood(id, acc)
@@ -181,7 +184,7 @@ func (g *refGraph) computeDegrees(ids []profile.ID) {
 }
 
 func (g *refGraph) forEachEdge(ids []profile.ID, fn func(a, b profile.ID, w float64)) {
-	acc := map[profile.ID]*edgeAccumulator{}
+	acc := map[profile.ID]*EdgeStats{}
 	for _, id := range ids {
 		for _, nw := range g.weightedNeighbours(id, acc) {
 			if nw.id < id {
@@ -211,7 +214,7 @@ func refRun(idx *blocking.Index, opts Options) []Edge {
 	if needsDegrees(opts.Scheme) {
 		g.computeDegrees(ids)
 	}
-	acc := map[profile.ID]*edgeAccumulator{}
+	acc := map[profile.ID]*EdgeStats{}
 
 	emit := func(keep func(a, b profile.ID, w float64) bool) []Edge {
 		var out []Edge
@@ -422,7 +425,7 @@ func TestFlatKernelNeighbourhoodsMatchReference(t *testing.T) {
 				rg.computeDegrees(ids)
 			}
 			sc := g.scratch.get()
-			acc := map[profile.ID]*edgeAccumulator{}
+			acc := map[profile.ID]*EdgeStats{}
 			for _, id := range ids {
 				want := rg.weightedNeighbours(id, acc)
 				got := g.weightedNeighbours(id, sc)
@@ -452,5 +455,112 @@ func TestFlatKernelScratchReuse(t *testing.T) {
 			Run(a, Options{Scheme: JS, Pruning: WNP}))
 		requireBitwiseEqual(t, "reuse-b", refRun(b, Options{Scheme: ECBS, Pruning: ReciprocalCNP}),
 			Run(b, Options{Scheme: ECBS, Pruning: ReciprocalCNP}))
+	}
+}
+
+// nodePartialSum sums the weights of a node's forward edges (neighbour ID
+// greater than the node's): the reference groups the global WEP sum into
+// per-node partials, accumulated in ascending node order.
+func nodePartialSum(nws []neighbourWeight, id profile.ID) (float64, int64) {
+	var sum float64
+	var count int64
+	for _, nw := range nws {
+		if nw.id > id {
+			sum += nw.w
+			count++
+		}
+	}
+	return sum, count
+}
+
+// permuteMembers rebuilds idx with every block's member lists shuffled.
+// Each neighbourhood is then touched in a different first-touch order,
+// while every float sum keeps its order: a profile's blocks are still
+// visited in ascending block ordinal.
+func permuteMembers(idx *blocking.Index, seed int64) *blocking.Index {
+	rng := rand.New(rand.NewSource(seed))
+	src := idx.Blocks
+	col := &blocking.Collection{CleanClean: src.CleanClean, NumProfiles: src.NumProfiles}
+	for _, b := range src.Blocks {
+		b.A = slices.Clone(b.A)
+		b.B = slices.Clone(b.B)
+		rng.Shuffle(len(b.A), func(i, j int) { b.A[i], b.A[j] = b.A[j], b.A[i] })
+		rng.Shuffle(len(b.B), func(i, j int) { b.B[i], b.B[j] = b.B[j], b.B[i] })
+		col.Blocks = append(col.Blocks, b)
+	}
+	return blocking.BuildIndex(col)
+}
+
+// TestUnsortedRulesAreOrderFree pins the rules whose passes weigh
+// neighbourhoods without sorting them — Blast (a maximum), CNP and
+// reciprocal CNP (an order statistic), CEP (a global order statistic):
+// with every neighbourhood accumulated in a permuted order, Run and
+// RunDistributed must still return the reference's edges bitwise.
+func TestUnsortedRulesAreOrderFree(t *testing.T) {
+	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
+	defer ctx.Close()
+	for _, clean := range []bool{false, true} {
+		idx := clusteredTestIndex(48, 11, clean)
+		for seed := int64(1); seed <= 3; seed++ {
+			permuted := permuteMembers(idx, seed)
+			for _, useEntropy := range []bool{false, true} {
+				for _, s := range allSchemes() {
+					for _, p := range []Pruning{BlastPruning, CNP, ReciprocalCNP, CEP} {
+						opts := Options{Scheme: s, Pruning: p}
+						if useEntropy {
+							opts.Entropy = rampEntropy{}
+						}
+						label := fmt.Sprintf("clean=%v/entropy=%v/seed=%d/%v/%v", clean, useEntropy, seed, s, p)
+						want := refRun(idx, opts)
+						requireBitwiseEqual(t, label+"/sequential", want, Run(permuted, opts))
+						dist, err := RunDistributed(ctx, permuted, opts, 4)
+						if err != nil {
+							t.Fatalf("%s: distributed: %v", label, err)
+						}
+						requireBitwiseEqual(t, label+"/distributed", want, dist)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlastThresholdsMatchNodeThreshold pins the edge-wise Blast
+// thresholds: merging per-part maxima of the owned edges, however the
+// owners are split, gives every node exactly nodeThreshold over its full
+// sorted neighbourhood.
+func TestBlastThresholdsMatchNodeThreshold(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		idx := clusteredTestIndex(48, 11, clean)
+		ids := idx.ProfileIDs()
+		for _, useEntropy := range []bool{false, true} {
+			for _, s := range allSchemes() {
+				opts := Options{Scheme: s}
+				if useEntropy {
+					opts.Entropy = rampEntropy{}
+				}
+				g := newGraphContext(idx, opts)
+				if needsDegrees(s) {
+					g.computeDegrees(ids)
+				}
+				owners := g.owners(ids)
+				for _, parts := range []int{1, 3, len(owners)} {
+					var maxima [][]float64
+					for p := 0; p < parts; p++ {
+						maxima = append(maxima, blastMaxima(g, owners[p*len(owners)/parts:(p+1)*len(owners)/parts])...)
+					}
+					got := blastThresholds(maxima, g.scratch.n)
+					sc := g.scratch.get()
+					for _, id := range ids {
+						want := nodeThreshold(g.weightedNeighbours(id, sc), true)
+						if math.Float64bits(got[id]) != math.Float64bits(want) {
+							t.Fatalf("clean=%v entropy=%v %v parts=%d node %d: edge-wise threshold %g, nodeThreshold %g",
+								clean, useEntropy, s, parts, id, got[id], want)
+						}
+					}
+					g.scratch.put(sc)
+				}
+			}
+		}
 	}
 }
